@@ -48,7 +48,6 @@ module Server = Rxv_server.Server
 module Client = Rxv_server.Client
 module Proto = Rxv_server.Proto
 module Metrics = Rxv_server.Metrics
-module Rwlock = Rxv_server.Rwlock
 module Batcher = Rxv_server.Batcher
 module Follower = Rxv_replica.Follower
 module Parser = Rxv_xpath.Parser
@@ -1123,35 +1122,30 @@ let xpath_cache () =
 
 (* ---------- translate: insertion translation, cold vs cached ---------- *)
 
-(* minimum cold vs skeleton-warm translate speedup across sizes;
+(* minimum cold vs cached translate speedup across sizes;
    --check-translate-speedup compares against it after all requested
    experiments ran *)
 let min_translate_speedup = ref infinity
 
-(* Three arms replay identical W2 insertion workloads on identical
+(* Two arms replay identical W2 insertion workloads on identical
    engines; they differ only in what survives between operations:
    - cold: the engine's translation cache is cleared and every secondary
      relation index dropped before each op — the pre-cache behavior,
      paying skeleton construction, gen_A materialization and index
      builds every time;
-   - skeleton: warm-start state (stored CNF + model) is forgotten before
-     each op but structural skeletons, gen_A row sets and indexes stay;
-   - warm: nothing is dropped — steady-state production behavior, with
-     warm-started WalkSAT and identical-CNF model reuse on top. *)
+   - cached: nothing is dropped — steady-state production behavior,
+     reusing structural skeletons, gen_A row sets and indexes. *)
 let translate_bench () =
-  (* smoke keeps a high op count: the warm arms total ~1ms at |C|=300,
+  (* smoke keeps a high op count: the cached arm totals ~1ms at |C|=300,
      so the speedup ratio needs enough ops to amortize scheduler noise
      when runtest runs this concurrently with the test suites *)
   let nops = by_scale ~full:30 ~quick:12 ~smoke:30 in
   header
     (Printf.sprintf
-       "translate: insertion ΔV→ΔR translation, cold vs skeleton-warm vs \
-        warm-started (%d W2 insertions)"
+       "translate: insertion ΔV→ΔR translation, cold vs cached (%d W2 \
+        insertions)"
        nops)
-    [
-      "|C|"; "cold_ms"; "skeleton_ms"; "warm_ms"; "cold/skel"; "skel/warm";
-      "skel_hits"; "warm_starts";
-    ];
+    [ "|C|"; "cold_ms"; "cached_ms"; "cold/cached"; "skel_hits" ];
   List.iter
     (fun n ->
       let arm prep =
@@ -1179,18 +1173,14 @@ let translate_bench () =
             Rxv_core.Vinsert.clear_cache e.Engine.sat;
             drop_relation_indexes e)
       in
-      let skel, _ = arm (fun e -> Rxv_core.Vinsert.drop_warm e.Engine.sat) in
-      let warm, wst = arm (fun _ -> ()) in
-      let s1 = cold /. max skel 1e-9 in
-      let s2 = skel /. max warm 1e-9 in
-      min_translate_speedup := min !min_translate_speedup s1;
+      let cached, st = arm (fun _ -> ()) in
+      let speedup = cold /. max cached 1e-9 in
+      min_translate_speedup := min !min_translate_speedup speedup;
       row
         [
-          string_of_int n; ms cold; ms skel; ms warm;
-          Printf.sprintf "%.1fx" s1;
-          Printf.sprintf "%.2fx" s2;
-          string_of_int wst.Engine.sat_skeleton_hits;
-          string_of_int wst.Engine.sat_warm_starts;
+          string_of_int n; ms cold; ms cached;
+          Printf.sprintf "%.1fx" speedup;
+          string_of_int st.Engine.sat_skeleton_hits;
         ])
     (by_scale
        ~full:[ 10_000; 100_000 ]
@@ -1198,24 +1188,17 @@ let translate_bench () =
 
 (* ---------- snapshot_reads: MVCC reader throughput under writes ------ *)
 
-(* snapshot-vs-locked reader throughput ratio; --check-read-concurrency
-   compares against it after all requested experiments ran *)
-let min_read_concurrency = ref infinity
-
-(* One arm: a saturating writer swarm drives the batcher — the server's
-   single-writer loop, one exclusive rwlock section per batch — while
-   [n_readers] threads issue //course queries as fast as they can for
-   [duration] seconds. [`Locked] reads through the rwlock's shared side
-   (the pre-MVCC server read path, queued behind every write batch);
-   [`Snapshot] reads the batcher-published MVCC snapshot, taking no lock
-   at all. Same engine, same workload, same threads — the arms differ
-   only in how a read synchronizes with the writer. Each writer job is
-   an atomic group of [group] updates (the batcher's unit of commit), so
-   the exclusive sections do realistic amounts of view-maintenance work
-   rather than degenerating into uncontended microsecond blips. *)
-let read_concurrency_arm ~read_mode ~n_readers ~n_writers ~group ~duration =
+(* One trial: a saturating writer swarm drives the batcher — the
+   server's single-writer loop, one exclusive section per batch — while
+   [n_readers] threads query //course on the batcher-published MVCC
+   snapshot, taking no lock at all, as fast as they can for [duration]
+   seconds. Each writer job is an atomic group of [group] updates (the
+   batcher's unit of commit), so the exclusive sections do realistic
+   amounts of view-maintenance work rather than degenerating into
+   uncontended microsecond blips. *)
+let snapshot_reads_trial ~n_readers ~n_writers ~group ~duration =
   let e = Registrar.engine () in
-  let lock = Rwlock.create () in
+  let lock = Mutex.create () in
   let published = ref (Engine.Snapshot.capture e) in
   let batcher =
     Batcher.create ~queue_cap:512 ~batch_cap:64 ~lock
@@ -1286,10 +1269,7 @@ let read_concurrency_arm ~read_mode ~n_readers ~n_writers ~group ~duration =
     let mine = ref 0 in
     let t_end = now () +. duration in
     while now () < t_end do
-      (match read_mode with
-      | `Snapshot -> ignore (Engine.Snapshot.query !published path)
-      | `Locked ->
-          Rwlock.with_read lock (fun () -> ignore (Engine.query e path)));
+      ignore (Engine.Snapshot.query !published path);
       incr mine
     done;
     Mutex.lock rm;
@@ -1315,36 +1295,23 @@ let snapshot_reads () =
   let trials = by_scale ~full:3 ~quick:2 ~smoke:2 in
   header
     (Printf.sprintf
-       "snapshot_reads: reader throughput under a saturating write swarm, \
-        %d readers x %d writers x %d updates/group, %.2fs per trial, \
-        median of %d trials"
+       "snapshot_reads: snapshot reader throughput under a saturating \
+        write swarm, %d readers x %d writers x %d updates/group, %.2fs \
+        per trial, %d trials"
        n_readers n_writers group duration trials)
-    [ "read_mode"; "trial"; "reads"; "reads_per_s"; "committed" ];
-  let run mode label =
-    let rates = ref [] in
-    for trial = 1 to trials do
-      let reads, comm =
-        read_concurrency_arm ~read_mode:mode ~n_readers ~n_writers ~group
-          ~duration
-      in
-      let rate = float_of_int reads /. duration in
-      rates := rate :: !rates;
-      row
-        [
-          label;
-          string_of_int trial;
-          string_of_int reads;
-          Printf.sprintf "%.0f" rate;
-          string_of_int comm;
-        ]
-    done;
-    List.nth (List.sort compare !rates) (trials / 2)
-  in
-  let locked = run `Locked "locked" in
-  let snapshot = run `Snapshot "snapshot" in
-  let ratio = snapshot /. Float.max locked 1e-9 in
-  min_read_concurrency := min !min_read_concurrency ratio;
-  row [ "speedup"; "-"; "-"; Printf.sprintf "%.1fx" ratio; "-" ]
+    [ "trial"; "reads"; "reads_per_s"; "committed" ];
+  for trial = 1 to trials do
+    let reads, comm =
+      snapshot_reads_trial ~n_readers ~n_writers ~group ~duration
+    in
+    row
+      [
+        string_of_int trial;
+        string_of_int reads;
+        Printf.sprintf "%.0f" (float_of_int reads /. duration);
+        string_of_int comm;
+      ]
+  done
 
 (* ---------- replication: follower catch-up and read scale-out -------- *)
 
@@ -1770,8 +1737,7 @@ let all_names =
 let usage () =
   prerr_endline
     "usage: main.exe [--quick|--smoke] [--json FILE] \
-     [--check-cache-ratio R] [--check-read-concurrency R] \
-     [--check-replica-scale R] [--check-translate-speedup R] \
+     [--check-cache-ratio R] [--check-replica-scale R] [--check-translate-speedup R] \
      [--check-failover-mttr SECONDS] \
      [all|fig10b|fig11a..fig11h|table1|transactions|recovery|server|\
      ablations|chaos|xpath_cache|translate|snapshot_reads|replication|\
@@ -1783,7 +1749,6 @@ let () =
   let args = List.filter (fun a -> a <> "--") args in
   let json_path = ref None in
   let cache_ratio = ref None in
-  let read_conc = ref None in
   let replica_scale = ref None in
   let translate_speedup = ref None in
   let failover_mttr = ref None in
@@ -1807,13 +1772,6 @@ let () =
             parse rest
         | _ -> usage ())
     | [ "--check-cache-ratio" ] -> usage ()
-    | "--check-read-concurrency" :: r :: rest -> (
-        match float_of_string_opt r with
-        | Some f when f > 0. ->
-            read_conc := Some f;
-            parse rest
-        | _ -> usage ())
-    | [ "--check-read-concurrency" ] -> usage ()
     | "--check-replica-scale" :: r :: rest -> (
         match float_of_string_opt r with
         | Some f when f > 0. ->
@@ -1849,24 +1807,6 @@ let () =
     (fun name -> run_experiment name (List.assoc name experiments))
     names;
   Option.iter write_json !json_path;
-  (match !read_conc with
-  | None -> ()
-  | Some r when !min_read_concurrency = infinity ->
-      Printf.eprintf
-        "--check-read-concurrency %.1f given but snapshot_reads did not run\n%!"
-        r;
-      exit 1
-  | Some r when !min_read_concurrency < r ->
-      Printf.eprintf
-        "read concurrency check FAILED: snapshot/locked reader throughput \
-         %.1fx < required %.1fx\n%!"
-        !min_read_concurrency r;
-      exit 1
-  | Some r ->
-      Printf.printf
-        "read concurrency check ok: snapshot/locked reader throughput %.1fx \
-         >= %.1fx\n%!"
-        !min_read_concurrency r);
   (match !replica_scale with
   | None -> ()
   | Some r when !min_replica_scale = infinity ->
@@ -1910,14 +1850,14 @@ let () =
       exit 1
   | Some r when !min_translate_speedup < r ->
       Printf.eprintf
-        "translate cache check FAILED: cold/skeleton-warm translation \
-         speedup %.1fx < required %.1fx\n%!"
+        "translate cache check FAILED: cold/cached translation speedup \
+         %.1fx < required %.1fx\n%!"
         !min_translate_speedup r;
       exit 1
   | Some r ->
       Printf.printf
-        "translate cache check ok: cold/skeleton-warm translation speedup \
-         %.1fx >= %.1fx\n%!"
+        "translate cache check ok: cold/cached translation speedup %.1fx \
+         >= %.1fx\n%!"
         !min_translate_speedup r);
   match !cache_ratio with
   | None -> ()

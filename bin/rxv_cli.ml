@@ -169,8 +169,7 @@ let print_stats e =
     st.Engine.snapshot_reads;
   Fmt.pr "sat skeletons      %d hits, %d misses@." st.Engine.sat_skeleton_hits
     st.Engine.sat_skeleton_misses;
-  Fmt.pr "sat solving        %d warm starts, %d learned kept@."
-    st.Engine.sat_warm_starts st.Engine.sat_learned_kept;
+  Fmt.pr "sat solving        %d learned kept@." st.Engine.sat_learned_kept;
   match st.Engine.wal_records with
   | Some k -> Fmt.pr "WAL records        %d since last checkpoint@." k
   | None -> ()

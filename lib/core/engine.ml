@@ -48,7 +48,7 @@ type t = {
   cache : Eval_cache.t;  (** compiled-plan result cache for the read path *)
   sat : Vinsert.cache;
       (** incremental insertion-translation state: structural CNF
-          skeletons, gen_A row sets and warm-start models *)
+          skeletons and gen_A row sets *)
   live_reads : int Atomic.t;  (** queries answered on the live structures *)
   snapshot_reads : int Atomic.t;  (** queries answered on frozen views *)
 }
@@ -285,7 +285,7 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
               match
                 Vinsert.translate e.atg e.db e.store
                   ~connect_edges:tr.Xupdate.connect_edges ~seed:e.seed
-                  ~cache:e.sat ()
+                  ~cache:e.sat
               with
               | Vinsert.Rejected msg ->
                   Xupdate.rollback_subtree e.store
@@ -433,7 +433,6 @@ type stats = {
       (** insertion translations served by a cached CNF skeleton *)
   sat_skeleton_misses : int;  (** translations that built a skeleton *)
   sat_learned_kept : int;  (** CDCL learned clauses retained *)
-  sat_warm_starts : int;  (** solves answered from a previous model *)
 }
 
 let stats (e : t) : stats =
@@ -477,7 +476,6 @@ let stats (e : t) : stats =
     sat_skeleton_hits = sc.Vinsert.skeleton_hits;
     sat_skeleton_misses = sc.Vinsert.skeleton_misses;
     sat_learned_kept = sc.Vinsert.learned_kept;
-    sat_warm_starts = sc.Vinsert.warm_starts;
   }
 
 (** {2 Transactions}
@@ -519,12 +517,6 @@ module Txn = struct
     Store.abort e.store;
     Database.abort e.db;
     e.seed <- h.t_seed
-
-  (* [mark]/[rollback_to]: the savepoint reading of the same frames —
-     the names the old [snapshot]/[restore] API should have had, freed
-     up now that "snapshot" means an MVCC read view ({!Snapshot}) *)
-  let mark = begin_
-  let rollback_to = abort
 end
 
 (** [reset_from e db store seed] installs recovered state into a live
@@ -686,7 +678,6 @@ module Snapshot = struct
             sat_skeleton_hits = s.sat_counters.Vinsert.skeleton_hits;
             sat_skeleton_misses = s.sat_counters.Vinsert.skeleton_misses;
             sat_learned_kept = s.sat_counters.Vinsert.learned_kept;
-            sat_warm_starts = s.sat_counters.Vinsert.warm_starts;
           }
         in
         s.stats_memo <- Some st;

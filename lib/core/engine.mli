@@ -39,8 +39,8 @@ type t = {
           it, and every mutation path invalidates it incrementally *)
   sat : Vinsert.cache;
       (** incremental insertion-translation state (structural CNF
-          skeletons, gen_A row sets, warm-start models) — purely an
-          accelerator, dropped wholesale by {!reset_from} *)
+          skeletons, gen_A row sets) — purely an accelerator, dropped
+          wholesale by {!reset_from} *)
   live_reads : int Atomic.t;
       (** cumulative {!query} calls (answered on the live structures,
           i.e. under whatever lock the caller holds) *)
@@ -145,7 +145,6 @@ type stats = {
   sat_skeleton_misses : int;  (** translations that built a skeleton *)
   sat_learned_kept : int;
       (** CDCL learned clauses retained across canonicalization probes *)
-  sat_warm_starts : int;  (** solves answered from a previous model *)
 }
 
 val stats : t -> stats
@@ -172,13 +171,6 @@ module Txn : sig
 
   val abort : t -> handle -> unit
   (** roll the engine back to the matching {!begin_}, in O(Δ) *)
-
-  val mark : t -> handle
-  (** savepoint reading of {!begin_} — the name the legacy
-      [Engine.snapshot] should have had *)
-
-  val rollback_to : t -> handle -> unit
-  (** alias for {!abort}, pairing with {!mark} *)
 end
 
 val reset_from : t -> Database.t -> Store.t -> seed:int -> unit

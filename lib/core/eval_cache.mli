@@ -24,8 +24,8 @@
     target path through warm tables instead of a cold full DP.
 
     Thread safety: one internal mutex serializes queries and
-    invalidations, so concurrent server readers (under the batch-fair
-    rwlock's shared side) can share one cache. Eviction is LRU, bounded
+    invalidations, so snapshot reads on server handler threads and the
+    writer thread's live queries can share one cache. Eviction is LRU, bounded
     by [cap]; an entry inserted or evicted in a clean frame needs no
     journaling — it describes committed state that an abort cannot
     change, and a lost entry is just a later miss. *)

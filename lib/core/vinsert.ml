@@ -25,22 +25,20 @@
        finite-domain condition → add ¬φ to the SAT instance (case (c));
        any freshenable variable involved → condition dropped (case (b)).
 
-    3. {b Solve & instantiate.} WalkSAT [30] — warm-started from the last
-       successful assignment when a cache is supplied — with the
-       incremental CDCL core {!Rxv_sat.Inc} as the complete fallback,
-       yields the finite-domain values; the witness is then canonicalized
-       to the lexicographically minimal model by CDCL assumption probes,
-       so the outcome is independent of which solver found it (and of any
-       cached warm state). Freshenable variables get surrogates outside
-       the active domain; ΔR and the provenance rows of the new edges
-       fall out by substitution.
+    3. {b Solve & instantiate.} WalkSAT [30], with the incremental CDCL
+       core {!Rxv_sat.Inc} as the complete fallback, yields the
+       finite-domain values; the witness is then canonicalized to the
+       lexicographically minimal model by CDCL assumption probes, so the
+       outcome is independent of which solver found it. Freshenable
+       variables get surrogates outside the active domain; ΔR and the
+       provenance rows of the new edges fall out by substitution.
 
     {b Skeleton caching.} The expensive structural work — the augmented
-    "+gen" queries per U/A choice, the per-registry gen_A row sets with
-    their join indexes, and the solved model — depends only on the ATG
-    production set and which relations carry templates, not on the
-    concrete update. A {!cache} (one per engine) keys that skeleton on
-    the sorted template-relation signature and revalidates gen_A rows by
+    "+gen" queries per U/A choice and the per-registry gen_A row sets
+    with their join indexes — depends only on the ATG production set and
+    which relations carry templates, not on the concrete update. A
+    {!cache} (one per engine) keys that skeleton on the sorted
+    template-relation signature and revalidates gen_A rows by
     {!Store.gen_view} stamps, so steady-state translations rebuild only
     the per-update template/clause layer. *)
 
@@ -323,17 +321,6 @@ type rule_plan = {
   rp_choices : choice_plan list;
 }
 
-(* The structural skeleton for one template-relation signature: the rule
-   plans, plus the last successfully solved CNF and its canonical model
-   (the warm-start state — valid for reuse only when the next instance's
-   CNF is literally identical, which isomorphic updates produce because
-   CNF variables are interned by name). *)
-type skeleton = {
-  sk_rules : rule_plan list;
-  mutable sk_cnf : (int * Cnf.clause array) option;
-  mutable sk_model : Cnf.assignment option;
-}
-
 (* Incrementally maintained gen_A pseudo-relation rows (ascending node
    id), revalidated against {!Store.gen_view} stamps: same version ⇒
    reuse as is; same reset ⇒ append the new suffix; else rebuild. *)
@@ -348,17 +335,16 @@ type counters = {
   skeleton_hits : int;
   skeleton_misses : int;
   learned_kept : int;
-  warm_starts : int;
 }
 
 type cache = {
   mutable c_atg : Atg.t option;  (** a different ATG drops everything *)
-  c_skeletons : (string list, skeleton) Hashtbl.t;
+  c_skeletons : (string list, rule_plan list) Hashtbl.t;
+      (** the structural skeleton per template-relation signature *)
   c_gens : (string, gen_entry) Hashtbl.t;
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_learned : int;
-  mutable c_warm : int;
 }
 
 let create_cache () =
@@ -369,7 +355,6 @@ let create_cache () =
     c_hits = 0;
     c_misses = 0;
     c_learned = 0;
-    c_warm = 0;
   }
 
 let clear_cache c =
@@ -377,26 +362,18 @@ let clear_cache c =
   Hashtbl.reset c.c_skeletons;
   Hashtbl.reset c.c_gens
 
-let drop_warm c =
-  Hashtbl.iter
-    (fun _ sk ->
-      sk.sk_cnf <- None;
-      sk.sk_model <- None)
-    c.c_skeletons
-
 let counters c =
   {
     skeleton_hits = c.c_hits;
     skeleton_misses = c.c_misses;
     learned_kept = c.c_learned;
-    warm_starts = c.c_warm;
   }
 
 (* Build the rule plans for the current template signature. Everything
    here depends only on the ATG and on *which* relations have templates,
    so the result is cacheable across updates. *)
 let build_skeleton (atg : Atg.t) (schema : Schema.db)
-    ~(has_templates : string -> bool) : skeleton =
+    ~(has_templates : string -> bool) : rule_plan list =
   let plan_rule (a_type, b_type, (sr : Atg.star_rule)) =
     let q = sr.Atg.query in
     let tpos = List.filter (fun (_, rname) -> has_templates rname) q.Spj.from in
@@ -510,9 +487,7 @@ let build_skeleton (atg : Atg.t) (schema : Schema.db)
         }
     end
   in
-  { sk_rules = List.filter_map plan_rule (Atg.star_rules atg);
-    sk_cnf = None;
-    sk_model = None }
+  List.filter_map plan_rule (Atg.star_rules atg)
 
 (* gen_A rows as a symbolic source, reusing (and extending) the cached
    indexed row set when the registry stamps allow *)
@@ -556,9 +531,9 @@ let gen_source cache store a_type nparams =
    preferred) of [cnf], reached from any satisfying [witness] by CDCL
    assumption probes: fix variables left to right, testing with ¬v under
    the fixed prefix whenever the running model has v true. The result
-   depends only on the formula — not on the witness, the solver that
-   produced it, or any warm-start state — which is what makes cached and
-   cold translations byte-identical. *)
+   depends only on the formula — not on the witness or the solver that
+   produced it — which is what makes cached and cold translations
+   byte-identical. *)
 let canonical_model (inc : Inc.t) nv (witness : Cnf.assignment) :
     Cnf.assignment =
   let m = ref witness in
@@ -581,9 +556,7 @@ let canonical_model (inc : Inc.t) nv (witness : Cnf.assignment) :
 (* ---------- the translation ---------- *)
 
 let translate (atg : Atg.t) (db : Database.t) (store : Store.t)
-    ~(connect_edges : (int * int) list) ?(seed = 42) ?cache
-    ?(warm_start = true) () : outcome =
-  let cache = match cache with Some c -> c | None -> create_cache () in
+    ~(connect_edges : (int * int) list) ~seed ~cache : outcome =
   (match cache.c_atg with
   | Some a when a != atg -> clear_cache cache
   | _ -> ());
@@ -690,7 +663,7 @@ let translate (atg : Atg.t) (db : Database.t) (store : Store.t)
         List.sort compare
           (Hashtbl.fold (fun k _ acc -> k :: acc) templates_by_rel [])
       in
-      let skeleton_hit, sk =
+      let skeleton_hit, rules =
         match Hashtbl.find_opt cache.c_skeletons sk_key with
         | Some sk ->
             cache.c_hits <- cache.c_hits + 1;
@@ -811,7 +784,7 @@ let translate (atg : Atg.t) (db : Database.t) (store : Store.t)
               rows)
           rp.rp_choices
       in
-      List.iter scan_rule sk.sk_rules;
+      List.iter scan_rule rules;
       (* -- step 3: SAT over finite-domain variables -- *)
       let prop_of_eq : (int * Value.t, int) Hashtbl.t = Hashtbl.create 16 in
       let domain_vars : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -879,62 +852,25 @@ let translate (atg : Atg.t) (db : Database.t) (store : Store.t)
           | None -> ())
         domain_vars;
       let t_solve = now_ms () in
-      (* -- solve: identical-CNF reuse → warm / cold WalkSAT → complete
-         CDCL — any witness is then canonicalized, so every path yields
-         the same model -- *)
+      (* -- solve: WalkSAT → complete CDCL — any witness is then
+         canonicalized, so every path yields the same model -- *)
       let nv = Cnf.nvars cnf in
       let model =
         if Cnf.nclauses cnf = 0 then Some (Array.make (nv + 1) false)
         else begin
-          let cnf_key = (nv, Cnf.clauses cnf) in
-          let identical =
-            match (sk.sk_cnf, sk.sk_model) with
-            | Some k, (Some _ as m) when warm_start && k = cnf_key -> m
-            | _ -> None
+          let inc = Inc.create () in
+          Inc.add_cnf inc cnf;
+          let model =
+            match Walksat.solve_result ~seed cnf with
+            | Walksat.Sat w -> Some (canonical_model inc nv w)
+            | Walksat.Unknown -> (
+                (* complete fallback: decide the instance exactly *)
+                match Inc.solve inc with
+                | Inc.Sat w -> Some (canonical_model inc nv w)
+                | Inc.Unsat -> None)
           in
-          match identical with
-          | Some _ as m ->
-              (* same formula as the previous solve for this skeleton:
-                 the stored canonical model is the answer, no search *)
-              cache.c_warm <- cache.c_warm + 1;
-              m
-          | None ->
-              let witness =
-                let warm =
-                  match sk.sk_model with
-                  | Some prev when warm_start -> (
-                      match Walksat.solve_result ~seed ~init:prev cnf with
-                      | Walksat.Sat a ->
-                          cache.c_warm <- cache.c_warm + 1;
-                          Some a
-                      | Walksat.Unknown -> None)
-                  | _ -> None
-                in
-                match warm with
-                | Some a -> Some a
-                | None -> (
-                    match Walksat.solve_result ~seed cnf with
-                    | Walksat.Sat a -> Some a
-                    | Walksat.Unknown -> None)
-              in
-              let inc = Inc.create () in
-              Inc.add_cnf inc cnf;
-              let model =
-                match witness with
-                | Some w -> Some (canonical_model inc nv w)
-                | None -> (
-                    (* complete fallback: decide the instance exactly *)
-                    match Inc.solve inc with
-                    | Inc.Sat w -> Some (canonical_model inc nv w)
-                    | Inc.Unsat -> None)
-              in
-              cache.c_learned <- cache.c_learned + Inc.n_learned inc;
-              (match model with
-              | Some m ->
-                  sk.sk_cnf <- Some cnf_key;
-                  sk.sk_model <- Some m
-              | None -> ());
-              model
+          cache.c_learned <- cache.c_learned + Inc.n_learned inc;
+          model
         end
       in
       let t_solved = now_ms () in

@@ -11,13 +11,12 @@
     (already in the updated DAG or among the connection edges) or side
     effects — ground side effects reject outright (case (a)), freshenable
     conditions are dropped (case (b)), finite-domain conditions become ¬φ
-    clauses (case (c)); (3) solve — warm-started WalkSAT first, then the
-    incremental CDCL core {!Rxv_sat.Inc} as the complete fallback — then
-    canonicalize any witness to the lexicographically minimal model by
-    CDCL assumption probes, and instantiate ΔR plus the provenance rows
-    of the new edges. Canonicalization makes the outcome a function of
-    the formula alone, so cached/warm and cold translations agree
-    byte-for-byte. *)
+    clauses (case (c)); (3) solve — WalkSAT first, then the incremental
+    CDCL core {!Rxv_sat.Inc} as the complete fallback — then canonicalize
+    any witness to the lexicographically minimal model by CDCL assumption
+    probes, and instantiate ΔR plus the provenance rows of the new edges.
+    Canonicalization makes the outcome a function of the formula alone,
+    so cached and cold translations agree byte-for-byte. *)
 
 module Store = Rxv_dag.Store
 module Tuple = Rxv_relational.Tuple
@@ -42,30 +41,22 @@ type outcome =
 type cache
 (** Per-engine incremental-translation state: structural skeletons
     (augmented "+gen" queries per U/A choice) keyed on the sorted
-    template-relation signature, incrementally maintained gen_A row sets
-    with their join indexes (revalidated by {!Store.gen_view} stamps),
-    and per-skeleton warm-start state (last solved CNF + canonical
-    model). Supplying a different ATG value drops everything. Purely an
-    accelerator: translations with and without a cache, or with a stale
-    one, produce identical outcomes. *)
+    template-relation signature, and incrementally maintained gen_A row
+    sets with their join indexes (revalidated by {!Store.gen_view}
+    stamps). Supplying a different ATG value drops everything. Purely an
+    accelerator: translations with a warm, a cleared or a stale cache
+    produce identical outcomes. *)
 
 type counters = {
   skeleton_hits : int;  (** translations that reused a cached skeleton *)
   skeleton_misses : int;  (** translations that had to build one *)
   learned_kept : int;  (** CDCL learned clauses retained across probes *)
-  warm_starts : int;
-      (** solves answered from the previous model — identical-CNF reuse
-          or a successful warm-started WalkSAT run *)
 }
 
 val create_cache : unit -> cache
 
 val clear_cache : cache -> unit
-(** drop skeletons, gen_A row sets and warm state (counters survive) *)
-
-val drop_warm : cache -> unit
-(** forget only the warm-start state (stored CNFs + models); structural
-    skeletons and gen_A row sets stay — the mid benchmark arm *)
+(** drop skeletons and gen_A row sets (counters survive) *)
 
 val counters : cache -> counters
 (** cumulative since [create_cache] (not reset by {!clear_cache}) *)
@@ -75,14 +66,8 @@ val translate :
   Database.t ->
   Store.t ->
   connect_edges:(int * int) list ->
-  ?seed:int ->
-  ?cache:cache ->
-  ?warm_start:bool ->
-  unit ->
+  seed:int ->
+  cache:cache ->
   outcome
 (** The store must already contain the expanded subtree (whose gen
-    entries participate in the side-effect scan); [seed] feeds WalkSAT.
-    Without [?cache] a private throwaway cache is used, so the cached and
-    uncached code paths are literally the same; [warm_start:false]
-    disables model reuse (solves always start cold) without affecting
-    the structural skeleton cache. *)
+    entries participate in the side-effect scan); [seed] feeds WalkSAT. *)

@@ -1,7 +1,7 @@
 (** Incremental CDCL SAT solving with a MiniSat-style interface.
 
-    Unlike {!Dpll} (a throwaway per-call procedure) an {!Inc.t} solver is
-    a long-lived object: clauses may be added between [solve] calls,
+    Unlike {!Walksat} (a throwaway per-call procedure) an {!Inc.t} solver
+    is a long-lived object: clauses may be added between [solve] calls,
     every [solve] may carry a set of assumption literals that hold for
     that call only, and the clauses learned during one call — together
     with the variable-activity heuristic state — survive into the next.

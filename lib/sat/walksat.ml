@@ -19,7 +19,7 @@ type stats = {
 }
 
 let solve ?(seed = 42) ?(noise = 0.5) ?(max_flips = 100_000)
-    ?(max_restarts = 10) ?init:init_assign (f : Cnf.t) : result * stats =
+    ?(max_restarts = 10) (f : Cnf.t) : result * stats =
   let stats = { flips = 0; restarts = 0 } in
   let clauses = Cnf.clauses f in
   let ncl = Array.length clauses in
@@ -44,20 +44,10 @@ let solve ?(seed = 42) ?(noise = 0.5) ?(max_flips = 100_000)
       sat_count.(ci) <- n;
       if n = 0 then Hashtbl.replace unsat ci () else Hashtbl.remove unsat ci
     in
-    let first_restart = ref true in
     let init () =
-      (match init_assign with
-      | Some a when !first_restart ->
-          (* warm start: seed the first restart from a prior model;
-             variables beyond the hint keep a deterministic default *)
-          for v = 1 to nv do
-            assign.(v) <- v < Array.length a && a.(v)
-          done
-      | _ ->
-          for v = 1 to nv do
-            assign.(v) <- Rng.bool rng
-          done);
-      first_restart := false;
+      for v = 1 to nv do
+        assign.(v) <- Rng.bool rng
+      done;
       Hashtbl.reset unsat;
       for ci = 0 to ncl - 1 do
         recount ci
@@ -157,5 +147,5 @@ let solve ?(seed = 42) ?(noise = 0.5) ?(max_flips = 100_000)
   end
 
 (** Convenience wrapper dropping statistics. *)
-let solve_result ?seed ?noise ?max_flips ?max_restarts ?init f =
-  fst (solve ?seed ?noise ?max_flips ?max_restarts ?init f)
+let solve_result ?seed ?noise ?max_flips ?max_restarts f =
+  fst (solve ?seed ?noise ?max_flips ?max_restarts f)

@@ -17,22 +17,17 @@ val solve :
   ?noise:float ->
   ?max_flips:int ->
   ?max_restarts:int ->
-  ?init:Cnf.assignment ->
   Cnf.t ->
   result * stats
 (** standard noise strategy: from a random assignment, repeatedly pick an
     unsatisfied clause and flip either a random variable of it
-    (probability [noise]) or the variable with minimal break count.
-    [?init] warm-starts the search: the {e first} restart begins from the
-    given assignment (variables beyond its length default to false)
-    instead of a random one — later restarts randomize as usual, and
-    runs stay deterministic under a fixed [seed]. *)
+    (probability [noise]) or the variable with minimal break count. Runs
+    are deterministic under a fixed [seed]. *)
 
 val solve_result :
   ?seed:int ->
   ?noise:float ->
   ?max_flips:int ->
   ?max_restarts:int ->
-  ?init:Cnf.assignment ->
   Cnf.t ->
   result

@@ -23,7 +23,7 @@ type job = {
 
 type t = {
   engine : Engine.t;
-  lock : Rwlock.t;
+  lock : Mutex.t;  (* the exclusive section, shared with the server *)
   metrics : Metrics.t option;
   sync : unit -> unit;
   dedup : Dedup.t option;
@@ -42,6 +42,10 @@ type t = {
   mutable stopping : bool;
   mutable writer : Thread.t option;
 }
+
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let bump t name = match t.metrics with Some m -> Metrics.incr m name | None -> ()
 let bump_n t name n =
@@ -166,7 +170,7 @@ let next_batch t =
 let run_batch t batch =
   (* apply the whole batch under one exclusive section … *)
   let outcomes =
-    Rwlock.with_write t.lock (fun () ->
+    with_lock t.lock (fun () ->
         let outcomes = List.map (apply_job t) batch in
         (* capture the committed state before the lock drops: snapshot
            readers then always see either the previous batch whole or
@@ -267,10 +271,10 @@ let submit_wait ?origin t ~policy ops =
 let seq t = t.seq
 
 (* promotion: adopt the follower's applied position as the commit
-   counter. The write lock guarantees no batch is mid-apply — on a
+   counter. The exclusive lock guarantees no batch is mid-apply — on a
    replica being promoted the queue is empty anyway (writes were
    refused), so this is a plain counter store *)
-let set_seq t seq = Rwlock.with_write t.lock (fun () -> t.seq <- seq)
+let set_seq t seq = with_lock t.lock (fun () -> t.seq <- seq)
 
 let stop t =
   Mutex.lock t.m;

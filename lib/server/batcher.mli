@@ -3,7 +3,7 @@
     Update requests from any number of connection threads are enqueued
     as jobs on a bounded queue. One dedicated writer thread drains up to
     [batch_cap] jobs at a time, applies each as an atomic group through
-    [Engine.apply_group] under the exclusive side of the {!Rwlock}, then
+    [Engine.apply_group] holding the exclusive [lock] mutex, then
     releases the lock and pays {e one} WAL sync for the whole drained
     batch before acknowledging any of its jobs — the classic group
     commit: the fsync (the dominant cost under [Sync_always]) is
@@ -56,7 +56,7 @@ type t
 val create :
   ?queue_cap:int ->
   ?batch_cap:int ->
-  lock:Rwlock.t ->
+  lock:Mutex.t ->
   ?metrics:Metrics.t ->
   ?sync:(unit -> unit) ->
   ?dedup:Dedup.t ->
@@ -66,8 +66,10 @@ val create :
   ?initial_seq:int ->
   Engine.t ->
   t
-(** start the writer thread. [queue_cap] (default 128) bounds pending
-    jobs; [batch_cap] (default 64) bounds how many commits share one
+(** start the writer thread. [lock] is the engine's exclusive section:
+    the writer holds it while applying a batch, and every other writer
+    of the engine must take it too. [queue_cap] (default 128) bounds
+    pending jobs; [batch_cap] (default 64) bounds how many commits share one
     sync; [sync] (default no-op) is called once per drained batch —
     typically [Rxv_persist.Persist.sync] with the engine's WAL hook
     attached in [deferred_sync] mode. [dedup] enables exactly-once

@@ -17,7 +17,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type address = Unix_sock of string | Tcp of string * int
 
-type read_mode = [ `Locked | `Snapshot ]
 type role = [ `Primary | `Replica ]
 
 type config = {
@@ -26,13 +25,12 @@ type config = {
   max_listed : int;
   probe_interval : float;
   max_sessions : int;
-  read_mode : read_mode;
   role : role;
 }
 
 let default_config =
   { queue_cap = 128; batch_cap = 64; max_listed = 32; probe_interval = 0.25;
-    max_sessions = 1024; read_mode = `Snapshot; role = `Primary }
+    max_sessions = 1024; role = `Primary }
 
 (* bound on records per Repl_frames reply, whatever the puller asks
    for: keeps one reply's memory and frame size proportionate *)
@@ -44,7 +42,7 @@ type t = {
   cfg : config;
   eng : Engine.t;
   persist : Persist.t option;
-  lock : Rwlock.t;
+  lock : Mutex.t;  (* the writer's exclusive section over [eng] *)
   mtr : Metrics.t;
   batcher : Batcher.t;
   dedup : Dedup.t;
@@ -80,7 +78,7 @@ type t = {
   mutable published : Engine.Snapshot.t;
       (* the latest committed MVCC snapshot; replaced by the batcher at
          the end of every write batch (a single pointer store), read by
-         query/stats handlers without touching the rwlock *)
+         query/stats handlers without taking [lock] *)
   mutable applied_seq : int;
       (* commit number the published snapshot covers: the read gate for
          Query_at. On a primary the batcher advances it at publish; on a
@@ -90,6 +88,10 @@ type t = {
          WAL is the stream's unit of truth; a volatile server has
          nothing durable to replicate) *)
 }
+
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let engine t = t.eng
 let metrics t = t.mtr
@@ -131,7 +133,7 @@ let set_promote_hook t hook = t.promote_hook <- Some hook
 
 (* the follower's apply path: run [f] holding the engine's exclusive
    side — exactly the section the batcher applies batches under *)
-let exclusive t f = Rwlock.with_write t.lock f
+let exclusive t f = with_lock t.lock f
 
 (* the follower's publish path: freeze the state just applied and open
    the read gate up to [seq] — the replica-side mirror of the batcher's
@@ -185,11 +187,8 @@ let check_health t =
           else begin
             Metrics.incr t.mtr "health_probes";
             match
-              Rwlock.with_write t.lock (fun () ->
-                  Mutex.lock t.sync_m;
-                  Fun.protect
-                    ~finally:(fun () -> Mutex.unlock t.sync_m)
-                    (fun () -> Persist.sync p))
+              with_lock t.lock (fun () ->
+                  with_lock t.sync_m (fun () -> Persist.sync p))
             with
             | () ->
                 Mutex.lock t.m;
@@ -300,17 +299,11 @@ let selected_of t (r : Dag_eval.result) =
 let handle_query t src =
   match parse_path src with
   | Error msg -> Proto.Error msg
-  | Ok path -> (
-      match t.cfg.read_mode with
-      | `Snapshot ->
-          (* lock-free: answer from the last published snapshot — never
-             blocks behind the batcher's exclusive section *)
-          Metrics.incr t.mtr "snapshot_queries";
-          selected_of t (Engine.Snapshot.query t.published path)
-      | `Locked ->
-          Metrics.incr t.mtr "locked_queries";
-          Rwlock.with_read t.lock (fun () ->
-              selected_of t (Engine.query t.eng path)))
+  | Ok path ->
+      (* lock-free: answer from the last published snapshot — never
+         blocks behind the batcher's exclusive section *)
+      Metrics.incr t.mtr "snapshot_queries";
+      selected_of t (Engine.Snapshot.query t.published path)
 
 let handle_update t ~client ~req_seq ~epoch:req_epoch ~policy ops =
   match
@@ -383,7 +376,11 @@ let refresh_repl_gauges t =
           g "resets" fs.Repl_feed.fs_resets)
         (Repl_feed.followers feed)
 
-let stats_reply t (st : Engine.stats) ~generation =
+(* lock-free: structural fields describe the published snapshot *)
+let handle_stats t =
+  let s = t.published in
+  let st = Engine.Snapshot.stats s in
+  Metrics.incr t.mtr "snapshot_stats";
   refresh_repl_gauges t;
   let snap = Metrics.snapshot t.mtr in
   Proto.Stats_reply
@@ -393,13 +390,12 @@ let stats_reply t (st : Engine.stats) ~generation =
       st_m_size = st.Engine.m_size;
       st_l_size = st.Engine.l_size;
       st_occurrences = st.Engine.occurrences;
-      st_generation = generation;
+      st_generation = Engine.Snapshot.generation s;
       st_wal_records = st.Engine.wal_records;
       st_health = health_string t;
       (* the query-cache and read-path counters ride in the generic
          counter list: no wire-format change, old clients simply show
-         extra rows. The read counters are atomics, read live in either
-         mode. *)
+         extra rows. The read counters are atomics, read live. *)
       st_counters =
         snap.Metrics.counters
         @ [
@@ -409,41 +405,21 @@ let stats_reply t (st : Engine.stats) ~generation =
             ("cache_evictions", st.Engine.cache_evictions);
             ("live_reads", Atomic.get t.eng.Engine.live_reads);
             ("snapshot_reads", Atomic.get t.eng.Engine.snapshot_reads);
-            ("lock_read_acquisitions", Rwlock.read_acquisitions t.lock);
             ("sat_skeleton_hits", st.Engine.sat_skeleton_hits);
             ("sat_skeleton_misses", st.Engine.sat_skeleton_misses);
             ("sat_learned_kept", st.Engine.sat_learned_kept);
-            ("sat_warm_starts", st.Engine.sat_warm_starts);
           ];
       st_gauges = snap.Metrics.gauges;
       st_latencies = snap.Metrics.latencies;
     }
-
-let handle_stats t =
-  match t.cfg.read_mode with
-  | `Snapshot ->
-      (* lock-free: structural fields describe the published snapshot *)
-      let s = t.published in
-      Metrics.incr t.mtr "snapshot_stats";
-      stats_reply t
-        (Engine.Snapshot.stats s)
-        ~generation:(Engine.Snapshot.generation s)
-  | `Locked ->
-      Rwlock.with_read t.lock (fun () ->
-          stats_reply t (Engine.stats t.eng)
-            ~generation:
-              (Rxv_core.Eval_cache.generation t.eng.Engine.cache))
 
 let handle_checkpoint t =
   match t.persist with
   | None -> Proto.Error "server has no durability directory"
   | Some p -> (
       match
-        Rwlock.with_write t.lock (fun () ->
-            Mutex.lock t.sync_m;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock t.sync_m)
-              (fun () ->
+        with_lock t.lock (fun () ->
+            with_lock t.sync_m (fun () ->
                 (* the dedup snapshot and commit counter must be read
                    under the same exclusive section as the image: a batch
                    committed between snapshot and checkpoint would be in
@@ -475,10 +451,7 @@ let handle_checkpoint t =
    rotation (which deletes superseded images) holds it too, so the file
    we read is never unlinked mid-read. *)
 let reset_reply t p =
-  Mutex.lock t.sync_m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.sync_m)
-    (fun () ->
+  with_lock t.sync_m (fun () ->
       Metrics.incr t.mtr "repl_resets_served";
       let epoch = epoch t in
       match Persist.checkpoint_blob p with
@@ -575,20 +548,14 @@ let sync_persist t =
   match t.persist with
   | None -> ()
   | Some p ->
-      Mutex.lock t.sync_m;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.sync_m)
-        (fun () -> Persist.sync p);
+      with_lock t.sync_m (fun () -> Persist.sync p);
       Metrics.incr t.mtr "wal_syncs";
       Option.iter Repl_feed.durable t.feed
 
 (* ---- failover: promotion ---- *)
 
 let promote t =
-  Mutex.lock t.promote_m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.promote_m)
-    (fun () ->
+  with_lock t.promote_m (fun () ->
       if role t = `Primary then ((* idempotent *) epoch t, Batcher.seq t.batcher)
       else begin
         (* 1. stop applying replicated records: the hook joins the
@@ -606,10 +573,7 @@ let promote t =
            ex-primary rejoining later finds the truncation boundary *)
         (match t.persist with
         | Some p ->
-            Mutex.lock t.sync_m;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock t.sync_m)
-              (fun () ->
+            with_lock t.sync_m (fun () ->
                 Persist.append_epoch p ~epoch:new_epoch ~boundary;
                 (* a follower runs without the engine WAL hook (it logs
                    the primary's bytes verbatim instead); from here on
@@ -779,7 +743,7 @@ let start ?(config = default_config) ?persist addr eng =
    with Invalid_argument _ -> ());
   let listen_fd = bind_listen addr in
   let stop_rd, stop_wr = Unix.pipe () in
-  let lock = Rwlock.create () in
+  let lock = Mutex.create () in
   let mtr = Metrics.create () in
   let sync_m = Mutex.create () in
   (match persist with
@@ -820,10 +784,7 @@ let start ?(config = default_config) ?persist addr eng =
     match persist with
     | Some p ->
         fun () ->
-          Mutex.lock sync_m;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock sync_m)
-            (fun () -> Persist.sync p);
+          with_lock sync_m (fun () -> Persist.sync p);
           Metrics.incr mtr "wal_syncs";
           Option.iter Repl_feed.durable feed
     | None -> fun () -> ()

@@ -3,15 +3,15 @@
     One listening socket (Unix-domain or TCP), one handler thread per
     connection, one {!Batcher} writer thread. Locking discipline:
 
-    - queries and stats are, by default ([`Snapshot] read mode), served
-      from the latest MVCC snapshot the batcher published at the end of
-      its last write batch — no lock at all, so readers never block
-      behind the writer's exclusive section (in [`Locked] mode they take
-      the {!Rwlock} in shared mode instead, as before);
+    - queries and stats are served from the latest MVCC snapshot the
+      batcher published at the end of its last write batch — no lock at
+      all, so readers never block behind the writer's exclusive section,
+      and the writer never waits behind a long read;
     - update groups are serialized through the batcher, which holds the
-      exclusive side only while applying (never across the sync);
-    - checkpoints and degraded-mode durability probes take the exclusive
-      side directly (plus the sync mutex shared with the batcher).
+      writer's mutex (the exclusive section) only while applying, never
+      across the sync;
+    - checkpoints and degraded-mode durability probes take the same
+      mutex directly (plus the sync mutex shared with the batcher).
 
     Protocol-level failures (unparsable XPath, unknown element type) are
     [Error] replies on a healthy connection; transport-level corruption
@@ -39,14 +39,6 @@ type address =
   | Unix_sock of string  (** filesystem path *)
   | Tcp of string * int  (** bind address, port *)
 
-type read_mode =
-  [ `Locked  (** queries/stats take the rwlock's shared side *)
-  | `Snapshot
-    (** queries/stats answer from the batcher-published MVCC snapshot,
-        taking no lock at all — a reader never waits behind the writer's
-        exclusive section, and the writer never waits behind a long
-        read *) ]
-
 type role =
   [ `Primary  (** accepts updates; streams its WAL to pulling followers *)
   | `Replica
@@ -65,14 +57,12 @@ type config = {
   max_sessions : int;
       (** dedup-table capacity; beyond it new client sessions are
           refused ([Overloaded]) unless an entry has aged out *)
-  read_mode : read_mode;  (** how queries and stats are served *)
   role : role;
 }
 
 val default_config : config
 (** [{ queue_cap = 128; batch_cap = 64; max_listed = 32;
-      probe_interval = 0.25; max_sessions = 1024;
-      read_mode = `Snapshot; role = `Primary }] *)
+      probe_interval = 0.25; max_sessions = 1024; role = `Primary }] *)
 
 type health = [ `Ok | `Degraded of string ]
 
@@ -145,8 +135,9 @@ val applied_seq : t -> int
     last {!publish_applied} *)
 
 val exclusive : t -> (unit -> 'a) -> 'a
-(** run [f] holding the engine's exclusive (writer) side — the follower
-    loop's apply section, same lock as the batcher's batches *)
+(** run [f] holding the engine's exclusive (writer) section — the
+    follower loop's apply section, same mutex as the batcher's batches.
+    Not reentrant: [f] must not call {!exclusive} again. *)
 
 val publish_applied : t -> seq:int -> unit
 (** freeze the current committed state as the published MVCC snapshot

@@ -1,20 +1,16 @@
 (** A small complete SAT solver (DPLL with unit propagation and pure-literal
-    elimination).
+    elimination): the reference oracle the SAT suite checks the
+    incremental CDCL solver {!Rxv_sat.Inc} and the CNF encodings against,
+    next to brute force. Not meant for large formulas. *)
 
-    Used (a) to cross-check WalkSAT and the insertion encoding in tests,
-    and (b) to decide tiny instances exactly, e.g. the exhaustive
-    minimal-deletion search that witnesses Theorem 3's hardness on small
-    inputs. Not meant for large formulas. *)
+module Cnf = Rxv_sat.Cnf
 
 type result =
   | Sat of Cnf.assignment
   | Unsat
-  | Unknown
-
-exception Budget
 
 (* Clauses as literal lists; assignment as a partial map. *)
-let solve ?max_conflicts (f : Cnf.t) : result =
+let solve (f : Cnf.t) : result =
   let nv = Cnf.nvars f in
   let clauses = Array.to_list (Cnf.clauses f) in
   let clauses = List.map Array.to_list clauses in
@@ -61,18 +57,9 @@ let solve ?max_conflicts (f : Cnf.t) : result =
     done;
     !pures
   in
-  let conflicts = ref 0 in
-  let bump_conflict () =
-    incr conflicts;
-    match max_conflicts with
-    | Some b when !conflicts > b -> raise Budget
-    | _ -> ()
-  in
   let rec go cls =
     match simplify cls with
-    | None ->
-        bump_conflict ();
-        false
+    | None -> false
     | Some [] -> true
     | Some cls -> (
         match pure_literals cls with
@@ -100,14 +87,11 @@ let solve ?max_conflicts (f : Cnf.t) : result =
                 end
             | _ -> assert false))
   in
-  match go clauses with
-  | true ->
-      let a = Array.make (nv + 1) false in
-      for v = 1 to nv do
-        a.(v) <- values.(v) = 1
-      done;
-      Sat a
-  | false -> Unsat
-  | exception Budget -> Unknown
-
-let is_satisfiable f = match solve f with Sat _ -> true | Unsat | Unknown -> false
+  if go clauses then begin
+    let a = Array.make (nv + 1) false in
+    for v = 1 to nv do
+      a.(v) <- values.(v) = 1
+    done;
+    Sat a
+  end
+  else Unsat

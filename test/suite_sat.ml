@@ -1,9 +1,9 @@
 (* Tests for the SAT substrate: CNF building, WalkSAT on satisfiable
-   instances, DPLL completeness against brute force. *)
+   instances, and the incremental CDCL solver against two reference
+   oracles, brute force and DPLL ({!Dpll}, kept here in test/). *)
 
 module Cnf = Rxv_sat.Cnf
 module Walksat = Rxv_sat.Walksat
-module Dpll = Rxv_sat.Dpll
 module Inc = Rxv_sat.Inc
 module Rng = Rxv_sat.Rng
 
@@ -56,7 +56,6 @@ let test_exactly_one () =
   Cnf.exactly_one f vars;
   match Dpll.solve f with
   | Dpll.Unsat -> Alcotest.fail "exactly-one unsat"
-  | Dpll.Unknown -> Alcotest.fail "unbudgeted DPLL gave up"
   | Dpll.Sat a ->
       let count = List.length (List.filter (fun v -> a.(v)) vars) in
       Alcotest.(check int) "exactly one true" 1 count
@@ -154,8 +153,7 @@ let dpll_complete =
       let expect = brute_force_sat f in
       match Dpll.solve f with
       | Dpll.Sat a -> expect && Cnf.satisfies a f
-      | Dpll.Unsat -> not expect
-      | Dpll.Unknown -> false (* never without a conflict budget *))
+      | Dpll.Unsat -> not expect)
 
 (* walksat never claims SAT wrongly *)
 let walksat_sound =
@@ -179,26 +177,10 @@ let test_unsat_detected () =
   Cnf.add_clause f [ -x ];
   (match Dpll.solve f with
   | Dpll.Unsat -> ()
-  | Dpll.Unknown -> Alcotest.fail "unbudgeted DPLL gave up"
   | Dpll.Sat _ -> Alcotest.fail "x ∧ ¬x satisfiable?");
   match Walksat.solve_result ~max_flips:500 ~max_restarts:2 f with
   | Walksat.Unknown -> ()
   | Walksat.Sat _ -> Alcotest.fail "walksat claimed unsat formula"
-
-(* --- budgeted DPLL --- *)
-
-let test_dpll_budget () =
-  (* with a zero conflict budget the solver must either finish without
-     backtracking or give up — never claim Unsat *)
-  let f, _ = planted_3sat ~nvars:40 ~nclauses:160 ~seed:3 in
-  (match Dpll.solve ~max_conflicts:0 f with
-  | Dpll.Unsat -> Alcotest.fail "budgeted run claimed a planted formula unsat"
-  | Dpll.Sat a -> check "budgeted model satisfies" true (Cnf.satisfies a f)
-  | Dpll.Unknown -> ());
-  (* a generous budget must not change the answer *)
-  match Dpll.solve ~max_conflicts:1_000_000 f with
-  | Dpll.Sat a -> check "solved within budget" true (Cnf.satisfies a f)
-  | Dpll.Unsat | Dpll.Unknown -> Alcotest.fail "planted formula not solved"
 
 (* --- incremental CDCL: agreement with DPLL / brute force --- *)
 
@@ -270,8 +252,7 @@ let inc_assumptions =
       | Inc.Sat a, Dpll.Sat _ ->
           Cnf.satisfies a f && List.for_all (lit_holds a) assumptions
       | Inc.Unsat, Dpll.Unsat -> true
-      | Inc.Sat _, (Dpll.Unsat | Dpll.Unknown) | Inc.Unsat, (Dpll.Sat _ | Dpll.Unknown)
-        -> false)
+      | Inc.Sat _, Dpll.Unsat | Inc.Unsat, Dpll.Sat _ -> false)
 
 let inc_push_pop =
   Helpers.qtest ~count:60 "Inc push/pop retracts scoped clauses exactly"
@@ -322,27 +303,6 @@ let inc_push_pop =
       let r2 = Inc.solve inc in
       agree1 r0 && agree2 r1 && agree1 r2)
 
-(* --- warm-started WalkSAT --- *)
-
-let test_walksat_warm () =
-  let f, planted = planted_3sat ~nvars:30 ~nclauses:90 ~seed:5 in
-  (* seeding with a model solves without search *)
-  (match Walksat.solve_result ~seed:11 ~max_flips:1 ~init:planted f with
-  | Walksat.Sat a -> check "warm model satisfies" true (Cnf.satisfies a f)
-  | Walksat.Unknown -> Alcotest.fail "warm start from a model failed");
-  (* fixed seed + same init ⇒ identical outcome *)
-  let r1 = Walksat.solve_result ~seed:11 ~init:planted f in
-  let r2 = Walksat.solve_result ~seed:11 ~init:planted f in
-  (match (r1, r2) with
-  | Walksat.Sat a, Walksat.Sat b ->
-      check "deterministic under fixed seed" true (a = b)
-  | _ -> Alcotest.fail "expected sat");
-  (* a bad init must not trap the solver: later restarts randomize *)
-  let bad = Array.make 31 false in
-  match Walksat.solve_result ~seed:12 ~init:bad f with
-  | Walksat.Sat a -> check "recovered from bad init" true (Cnf.satisfies a f)
-  | Walksat.Unknown -> Alcotest.fail "stuck on bad warm start"
-
 let tests =
   [
     Alcotest.test_case "rng determinism and ranges" `Quick test_rng_determinism;
@@ -352,9 +312,7 @@ let tests =
     dpll_complete;
     walksat_sound;
     Alcotest.test_case "unsat detected" `Quick test_unsat_detected;
-    Alcotest.test_case "dpll conflict budget" `Quick test_dpll_budget;
     inc_matches_dpll;
     inc_assumptions;
     inc_push_pop;
-    Alcotest.test_case "walksat warm start" `Quick test_walksat_warm;
   ]

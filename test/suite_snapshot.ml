@@ -33,12 +33,12 @@ let fresh_eval (e : Engine.t) path =
 
 let test_capture_in_txn_rejected () =
   let e = Registrar.engine () in
-  let h = Engine.Txn.mark e in
+  let h = Engine.Txn.begin_ e in
   (try
      ignore (Engine.Snapshot.capture e);
      Alcotest.fail "capture inside an open frame must raise"
    with Invalid_argument _ -> ());
-  Engine.Txn.rollback_to e h;
+  Engine.Txn.abort e h;
   (* and with the frame closed it works again *)
   ignore (Engine.Snapshot.capture e)
 
@@ -195,7 +195,7 @@ let run_scenario (p, acts) =
         | Some u -> ignore (Engine.apply e u)
         | None -> ())
     | Txn_abort s ->
-        let h = Engine.Txn.mark e in
+        let h = Engine.Txn.begin_ e in
         (match one_insertion d e s with
         | Some u -> ignore (Engine.apply e u)
         | None -> ());
@@ -212,7 +212,7 @@ let run_scenario (p, acts) =
         if not (norm (Engine.Snapshot.query snap mid_frame_probe)
                 = expected_mid)
         then QCheck2.Test.fail_reportf "mid-txn first-read probe drifted";
-        Engine.Txn.rollback_to e h
+        Engine.Txn.abort e h
     | Group_abort s -> (
         let us =
           (match one_insertion d e s with Some u -> [ u ] | None -> [])

@@ -87,7 +87,7 @@ let test_dry_run () =
 
 let test_snapshot_isolated () =
   let e = Registrar.engine () in
-  let snap = Engine.Txn.mark e in
+  let snap = Engine.Txn.begin_ e in
   (* mutate heavily *)
   (match
      Engine.apply e (Xupdate.Delete (Parser.parse "//student"))
@@ -96,7 +96,7 @@ let test_snapshot_isolated () =
   | Error r -> Alcotest.failf "delete rejected: %a" Engine.pp_rejection r);
   check "students gone" true
     ((Engine.query e (Parser.parse "//student")).Rxv_core.Dag_eval.selected = []);
-  Engine.Txn.rollback_to e snap;
+  Engine.Txn.abort e snap;
   check "students back" true
     ((Engine.query e (Parser.parse "//student")).Rxv_core.Dag_eval.selected <> []);
   match Engine.check_consistency e with

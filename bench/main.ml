@@ -31,7 +31,6 @@ module Relation = Rxv_relational.Relation
 module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
 module Reach = Rxv_dag.Reach
-module Maintain = Rxv_dag.Maintain
 module Engine = Rxv_core.Engine
 module Xupdate = Rxv_core.Xupdate
 module Dag_eval = Rxv_core.Dag_eval
@@ -1322,14 +1321,20 @@ let min_replica_scale = ref infinity
 
 (* One topology: a durable primary plus [n_followers] WAL-streaming
    replica servers, all in-process over Unix-domain sockets. The writer
-   commits [commits] single-insert groups, we time the slowest
-   follower's convergence (catch-up), then measure each follower's read
-   service rate with a dedicated client. The bench host is a single-core
-   box, so per-follower rates are measured {e sequentially} and summed
-   into an aggregate capacity — the quantity that grows with replica
-   count when each replica owns a core or machine; measuring them
-   concurrently here would benchmark the scheduler, not the system. *)
-let replication_arm ~n_followers ~commits ~duration ~trials =
+   commits [commits] single-insert groups and we time the slowest
+   follower's convergence (catch-up). The topology stays up so that its
+   followers' read rates can be sampled together with every other
+   topology's ({!follower_read_rates}). *)
+type topology = {
+  dir : string;
+  persist : Persist.t;
+  primary : Server.t;
+  followers : (string * Server.t * Follower.t) list;
+  commit_rate : float;
+  catchup : float;
+}
+
+let topology_up ~n_followers ~commits =
   let dir = fresh_dir () in
   let p = Persist.open_dir dir in
   let e =
@@ -1386,69 +1391,97 @@ let replication_arm ~n_followers ~commits ~duration ~trials =
       if Follower.after f < !last then
         failwith "replication: follower did not converge")
     followers;
-  let t_catchup = now () -. t1 in
-  let rates =
-    List.map
-      (fun (rsock, _, _) ->
-        (* median of [trials] timed windows, with a full major GC before
-           each follower, so leftover garbage from the commit phase does
-           not get charged to whichever follower is sampled first *)
-        Gc.full_major ();
-        let samples =
-          List.init trials (fun _ ->
-              let rc = Client.connect rsock in
-              let reads = ref 0 in
-              let t_end = now () +. duration in
-              while now () < t_end do
-                match Client.query rc "//course" with
-                | Ok _ -> incr reads
-                | Error m -> failwith ("replication: replica read: " ^ m)
-              done;
-              Client.close rc;
-              float_of_int !reads /. duration)
-        in
-        List.nth (List.sort compare samples) (trials / 2))
-      followers
-  in
+  {
+    dir;
+    persist = p;
+    primary = psrv;
+    followers;
+    commit_rate;
+    catchup = now () -. t1;
+  }
+
+let topology_down t =
   List.iter
     (fun (_, rsrv, f) ->
       Follower.stop f;
       Server.stop rsrv)
-    followers;
-  Server.stop psrv;
-  Persist.close p;
-  rm_rf dir;
-  (commit_rate, t_catchup, rates)
+    t.followers;
+  Server.stop t.primary;
+  Persist.close t.persist;
+  rm_rf t.dir
+
+(* Read service rate of each follower socket in [socks]: the median of
+   [trials] timed windows of [duration] s, each window reading with a
+   dedicated client, after a full major GC so leftover garbage is not
+   charged to whichever follower comes next. The bench host may have a
+   single core, so followers are sampled one at a time and their rates
+   summed into an aggregate capacity (the quantity that grows with
+   replica count when each replica owns a core or machine); measuring
+   them concurrently here would benchmark the scheduler. Windows go
+   round-robin over every follower of every topology, with the starting
+   follower rotated each round, so host-speed drift over the run hits
+   all of them alike instead of deciding the ratio between topologies. *)
+let follower_read_rates socks ~duration ~trials =
+  let n = Array.length socks in
+  let samples = Array.make n [] in
+  for round = 0 to trials - 1 do
+    for j = 0 to n - 1 do
+      let i = (round + j) mod n in
+      Gc.full_major ();
+      let rc = Client.connect socks.(i) in
+      let reads = ref 0 in
+      let t_end = now () +. duration in
+      while now () < t_end do
+        match Client.query rc "//course" with
+        | Ok _ -> incr reads
+        | Error m -> failwith ("replication: replica read: " ^ m)
+      done;
+      Client.close rc;
+      samples.(i) <- (float_of_int !reads /. duration) :: samples.(i)
+    done
+  done;
+  Array.map (fun xs -> List.nth (List.sort compare xs) (trials / 2)) samples
 
 let replication () =
   let commits = by_scale ~full:400 ~quick:120 ~smoke:40 in
   let duration = by_scale ~full:1.0 ~quick:0.5 ~smoke:0.3 in
-  let trials = by_scale ~full:3 ~quick:3 ~smoke:2 in
+  let trials = 5 in
   let counts = by_scale ~full:[ 1; 2; 4 ] ~quick:[ 1; 2; 4 ] ~smoke:[ 1; 2 ] in
   header
     (Printf.sprintf
        "replication: %d commits streamed to each topology; catch-up to \
-        convergence; then read sampling per follower, median of %d x %.2fs \
-        windows (sequential per-follower capacity, summed as aggregate)"
+        convergence; then, with every topology up, read sampling per \
+        follower, median of %d x %.2fs windows taken round-robin over all \
+        followers (sequential per-follower capacity, summed as aggregate)"
        commits trials duration)
     [ "followers"; "commit_rate"; "catchup_s"; "aggregate_reads_s";
       "per_follower" ];
-  let base = ref None in
+  let topos =
+    List.map (fun k -> topology_up ~n_followers:k ~commits) counts
+  in
+  let socks =
+    Array.of_list
+      (List.concat_map
+         (fun t -> List.map (fun (rsock, _, _) -> rsock) t.followers)
+         topos)
+  in
+  let rates = follower_read_rates socks ~duration ~trials in
+  List.iter topology_down topos;
+  let base = ref None and next = ref 0 in
   List.iter
-    (fun k ->
-      let commit_rate, catchup, rates =
-        replication_arm ~n_followers:k ~commits ~duration ~trials
-      in
-      let agg = List.fold_left ( +. ) 0. rates in
+    (fun t ->
+      let k = List.length t.followers in
+      let rs = List.init k (fun i -> rates.(!next + i)) in
+      next := !next + k;
+      let agg = List.fold_left ( +. ) 0. rs in
       if !base = None then base := Some agg;
       row
         [
           string_of_int k;
-          Printf.sprintf "%.0f" commit_rate;
-          Printf.sprintf "%.3f" catchup;
+          Printf.sprintf "%.0f" t.commit_rate;
+          Printf.sprintf "%.3f" t.catchup;
           Printf.sprintf "%.0f" agg;
-          String.concat "+"
-            (List.map (fun r -> Printf.sprintf "%.0f" r) rates);
+          String.concat "+" (List.map (fun r -> Printf.sprintf "%.0f" r) rs);
         ];
       if k = 2 then
         match !base with
@@ -1457,7 +1490,7 @@ let replication () =
             min_replica_scale := min !min_replica_scale ratio;
             row [ "scale_1to2"; "-"; "-"; Printf.sprintf "%.2fx" ratio; "-" ]
         | _ -> ())
-    counts
+    topos
 
 (* ---------- failover: write-unavailability window (MTTR) ------------- *)
 

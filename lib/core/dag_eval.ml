@@ -34,7 +34,7 @@
     the bottom-up tables alive across queries: a cache hit replays only
     the top-down refinement, and after an update only the dirty rows
     (changed nodes and their ancestors) are recomputed with
-    {!revalidate}.
+    {!revalidate_src}.
 
     Both passes read the view through a {!src} record — a first-class
     reader over (store, L, M). {!live_src} binds it to the mutable
@@ -144,7 +144,7 @@ let text_eq src lens id s =
    slots; bit set ⟺ steps i..n of filter k are satisfiable at the node.
    lens memoizes the text-length DP keyed by node id; entries for nodes
    whose subtree text may have changed must be dropped before
-   [revalidate] (pure recomputation repopulates them on demand). *)
+   [revalidate_src] (pure recomputation repopulates them on demand). *)
 type tables = {
   sat : Bitset.t array array;
   lens : (int, int) Hashtbl.t;
@@ -473,41 +473,6 @@ let eval_plan_src (src : src) (p : Plan.t) : result =
     the reader is bound to. See {!result}. *)
 let eval_src (src : src) (p : Ast.path) : result =
   eval_plan_src src (Plan.compile p)
-
-(* ---- wrappers over the live structures (the historical signatures) ----
-
-   The bottom-up pass never reads M, so its wrappers bind the reach
-   closures to a guard that would only fire on a programming error. *)
-
-let no_reach () = invalid_arg "Dag_eval: bottom-up pass must not read M"
-
-let bu_src (store : Store.t) (l : Topo.t) : src =
-  {
-    s_node = (fun id -> Store.node store id);
-    s_children = (fun id -> Store.children store id);
-    s_parents = (fun id -> Store.parents store id);
-    s_root = (fun () -> Store.root store);
-    s_iter_topo = (fun f -> Topo.iter f l);
-    s_slot_of = (fun _ -> no_reach ());
-    s_anc_intersects = (fun _ _ -> no_reach ());
-    s_union_row_into = (fun _ ~dst:_ -> no_reach ());
-  }
-
-let bottom_up (store : Store.t) (l : Topo.t) (p : Plan.t) (tb : tables) :
-    unit =
-  bottom_up_src (bu_src store l) p tb
-
-let revalidate (store : Store.t) (l : Topo.t) (p : Plan.t) (tb : tables)
-    ~(dirty : Bitset.t) : unit =
-  revalidate_src (bu_src store l) p tb ~dirty
-
-let top_down (store : Store.t) (l : Topo.t) (m : Reach.t) (p : Plan.t)
-    (tb : tables) : result =
-  top_down_src (live_src store l m) p tb
-
-let eval_plan (store : Store.t) (l : Topo.t) (m : Reach.t) (p : Plan.t) :
-    result =
-  eval_plan_src (live_src store l m) p
 
 (** [eval store l m p] evaluates the XPath [p] from the root of the view.
     See {!result}. *)

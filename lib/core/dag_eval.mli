@@ -19,7 +19,7 @@
     Paths execute as compiled {!Plan.t} opcodes. The two passes are
     exposed separately, with the bottom-up DP state reified as {!tables},
     so {!Eval_cache} can keep tables alive across queries and repair only
-    the dirty rows after an update ({!revalidate}). [eval] remains the
+    the dirty rows after an update ({!revalidate_src}). [eval] remains the
     one-shot entry point: compile, fill, refine. *)
 
 module Store = Rxv_dag.Store
@@ -52,9 +52,6 @@ type result = {
 val eval : Store.t -> Topo.t -> Reach.t -> Ast.path -> result
 (** evaluate from the root of the view *)
 
-val eval_plan : Store.t -> Topo.t -> Reach.t -> Plan.t -> result
-(** as {!eval}, for an already-compiled plan *)
-
 (** {2 The view reader}
 
     Both passes read (store, L, M) through a first-class {!src} record,
@@ -76,34 +73,31 @@ val eval_plan_src : src -> Plan.t -> result
 
     [tables] holds a plan's bottom-up state: the per-(filter, suffix)
     satisfiability bitsets over node slots, plus the memoized text-length
-    DP. Fill with {!bottom_up}, answer with {!top_down}; after an update,
-    drop the text lengths of touched nodes ({!drop_text_len}) and repair
-    the rows of changed nodes and their ancestors with {!revalidate}. *)
+    DP. Fill with {!bottom_up_src}, answer with {!top_down_src}; after an
+    update, drop the text lengths of touched nodes ({!drop_text_len}) and
+    repair the rows of changed nodes and their ancestors with
+    {!revalidate_src}. *)
 
 type tables
 
 val create_tables : Plan.t -> tables
 (** empty tables shaped for the plan's filter suffixes *)
 
-val bottom_up : Store.t -> Topo.t -> Plan.t -> tables -> unit
+val bottom_up_src : src -> Plan.t -> tables -> unit
 (** full DP fill over L (leaves first) *)
 
-val revalidate : Store.t -> Topo.t -> Plan.t -> tables -> dirty:Rxv_dag.Bitset.t -> unit
+val revalidate_src : src -> Plan.t -> tables -> dirty:Rxv_dag.Bitset.t -> unit
 (** recompute only the rows whose slot is set in [dirty], in L order.
     Sound iff [dirty] covers every node whose sat value may have changed:
     the updated nodes and all their ancestors (a node's row depends only
     on its descendants), plus any slot whose occupant was removed. *)
 
-val top_down : Store.t -> Topo.t -> Reach.t -> Plan.t -> tables -> result
-(** the top-down refinement, reading filled (or revalidated) tables *)
-
-val bottom_up_src : src -> Plan.t -> tables -> unit
-val revalidate_src : src -> Plan.t -> tables -> dirty:Rxv_dag.Bitset.t -> unit
 val top_down_src : src -> Plan.t -> tables -> result
+(** the top-down refinement, reading filled (or revalidated) tables *)
 
 val drop_text_len : tables -> int -> unit
 (** forget the memoized text length of one node (by id); call for every
-    node whose subtree text may have changed before {!revalidate} *)
+    node whose subtree text may have changed before {!revalidate_src} *)
 
 val reset_text_len : tables -> unit
 (** forget all memoized text lengths *)

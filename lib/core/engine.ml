@@ -333,15 +333,14 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
                         provenances;
                       let t_translate = now () -. t1 in
                       let t2 = now () in
-                      let mst =
+                      let touched =
                         Maintain.on_insert e.store e.topo e.reach
                           ~targets:ev.Dag_eval.selected
                           ~root_id:tr.Xupdate.subtree_root
                           ~new_nodes:tr.Xupdate.new_nodes
                       in
                       Eval_cache.invalidate e.cache ~store:e.store
-                        ~reach:e.reach ~touched:mst.Maintain.touched
-                        ~freed_slots:[];
+                        ~reach:e.reach ~touched ~freed_slots:[];
                       let t_maintain = now () -. t2 in
                       Ok
                         {

@@ -10,7 +10,7 @@
       OR-ing the changed nodes' slots ∪ their ancestors' slots ∪ freed
       slots into every entry's dirty set. A node's bottom-up value
       depends only on its descendants, so rows outside the dirty set are
-      unchanged — {!Dag_eval.revalidate} over the dirty rows restores
+      unchanged — {!Dag_eval.revalidate_src} over the dirty rows restores
       the first invariant.
     - While a journal frame is open {e and has already invalidated}
       ([frame_clean = false]), live queries bypass the cache, so no
@@ -60,7 +60,7 @@ type entry = {
   tables : Dag_eval.tables;
   mutable gen_valid : int;
   mutable dirty : Bitset.t;
-  mutable result : Dag_eval.result option;
+  mutable result : Dag_eval.result;
   mutable stamp : int;  (** LRU clock value of the last use *)
 }
 
@@ -243,23 +243,11 @@ let evict_if_full t =
     | None -> ()
   end
 
-let cached_result e =
-  (* the invariant guarantees [result] is populated whenever the entry is
-     current; re-deriving on a mismatch keeps this total *)
-  match e.result with Some r -> Some r | None -> None
-
-(* serve (completing on demand) an entry whose tables/result are valid
-   at the requested generation; [src] must read that generation's state *)
-let serve t src e =
-  match cached_result e with
-  | Some r ->
-      t.c_hits <- t.c_hits + 1;
-      r
-  | None ->
-      let r = Dag_eval.top_down_src src e.plan e.tables in
-      e.result <- Some r;
-      t.c_hits <- t.c_hits + 1;
-      r
+(* serve an entry whose tables/result are valid at the requested
+   generation *)
+let serve t e =
+  t.c_hits <- t.c_hits + 1;
+  e.result
 
 (* [pin = None]: evaluate against the current generation — the live read
    path. [pin = Some g]: an MVCC snapshot read; [src] reads the frozen
@@ -298,27 +286,27 @@ let run_query t (src : Dag_eval.src) ~pin path =
         match Hashtbl.find_opt t.entries (Plan.key plan) with
         | Some e when current ->
             e.stamp <- t.tick;
-            if e.gen_valid = t.generation then serve t src e
+            if e.gen_valid = t.generation then serve t e
             else if Bitset.is_empty e.dirty then begin
               (* the generation moved but nothing this entry depends on
                  changed (all observed mutations were rolled back or
                  touched nothing): promote *)
               e.gen_valid <- t.generation;
-              serve t src e
+              serve t e
             end
             else begin
               t.c_partials <- t.c_partials + 1;
               Dag_eval.revalidate_src src e.plan e.tables ~dirty:e.dirty;
               e.dirty <- Bitset.create ();
               let r = Dag_eval.top_down_src src e.plan e.tables in
-              e.result <- Some r;
+              e.result <- r;
               e.gen_valid <- t.generation;
               r
             end
         | Some e when e.gen_valid = g ->
             (* pinned to the exact generation the entry is valid at *)
             e.stamp <- t.tick;
-            serve t src e
+            serve t e
         | Some _ ->
             (* pinned to a generation the entry has left behind *)
             t.c_misses <- t.c_misses + 1;
@@ -335,7 +323,7 @@ let run_query t (src : Dag_eval.src) ~pin path =
                 tables;
                 gen_valid = t.generation;
                 dirty = Bitset.create ();
-                result = Some r;
+                result = r;
                 stamp = t.tick;
               };
             r

@@ -6,7 +6,7 @@
     the touched nodes; the cache dirties those nodes' rows *and their
     ancestors'* (via the reachability matrix M — a node's bottom-up value
     depends only on its descendants), so a later query repairs just the
-    dirty rows with {!Dag_eval.revalidate} and replays the cheap top-down
+    dirty rows with {!Dag_eval.revalidate_src} and replays the cheap top-down
     pass instead of re-running the full O(|p|·|V|) DP.
 
     Transactions: dirty marks and the generation are guarded by the same

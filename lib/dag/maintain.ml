@@ -7,28 +7,27 @@
     Fig. 3: the relational update is carried out first and maintenance
     runs in the background.
 
-    One deliberate generalization over Fig. 7: lines 12–13 of the paper
-    reposition only rA relative to the targets; when the inserted subtree
-    shares *interior* nodes with the existing view, those common nodes can
-    also sit after a target in L. We therefore apply the same
-    swap-based fix to every common subtree node, which is required for L
-    to stay valid under arbitrary sharing (property-tested against
-    recomputation). *)
-
-type insert_stats = {
-  m_pairs_added : int;
-  common_nodes : int;
-  merged_nodes : int;
-  touched : int list;
-      (** nodes whose Δ(M,L) rows this update visited (subtree ∪ targets)
-          — the seed set for dirtying cached DP rows: every other node's
-          bottom-up value depends only on descendants outside this set *)
-}
+    L maintenance on insertion keeps L's own order and needs neither LNC,
+    the alignment of L and LA, nor the pivot merge of Fig. 7 (lines 6–11
+    and 14). It runs two steps: (1) every common node (NC) that sits
+    after a target moves in front of it with [swap] — the paper's lines
+    12–13, applied to every common node rather than only rA, since ST may
+    share interior nodes with the view; (2) the new nodes, in subtree
+    post-order, are spliced immediately before the lowest-ordered target.
+    Why that is valid:
+    - The new edges are target → rA and edges out of new nodes:
+      [Publish.publish_subtree] never re-expands an existing node, so no
+      existing node other than a target gains a child.
+    - Acyclicity puts no target inside the subtree. Reachability among
+      existing nodes therefore changes in one way only: the targets (and
+      so their ancestors) now reach NC. L restricted to existing nodes is
+      valid once step 1 has placed every NC node before every target.
+    - A new node's descendants are new or in NC; its ancestors are new
+      nodes, targets, or ancestors of targets. After step 1, step 2 thus
+      puts every new node after all of its descendants and before all
+      of its ancestors. *)
 
 type delete_stats = {
-  m_pairs_removed : int;
-  cascade_edges : (int * int) list;
-      (** Δ'V: edges of fully-deleted nodes, removed by the collector *)
   deleted_nodes : int list;
   touched : int list;
       (** desc-or-self of the targets (including the nodes then deleted)
@@ -51,45 +50,6 @@ let desc_or_self_set store roots =
   List.iter go roots;
   seen
 
-(* LA (the subtree order of Fig. 7) as a scratch structure: the same
-   array + position-map shape as {!Topo}, but positions live in a small
-   hashtable. LA holds a handful of subtree nodes whose ids sit at the
-   top of the id space, so reusing the main structure's dense id-indexed
-   position array would cost an O(max id) allocation per update —
-   measured to dominate Δ(M,L)insert at |C| = 100K. No tombstones: LA is
-   built fresh per update and only swapped. *)
-module Scratch = struct
-  type t = { arr : int array; pos : (int, int) Hashtbl.t }
-
-  let of_ids ids =
-    let arr = Array.of_list ids in
-    let pos = Hashtbl.create (2 * Array.length arr) in
-    Array.iteri (fun i id -> Hashtbl.replace pos id i) arr;
-    { arr; pos }
-
-  let mem t id = Hashtbl.mem t.pos id
-  let ord t id = Hashtbl.find t.pos id
-
-  (* the paper's swap(L,u,v), as in {!Topo.swap} *)
-  let swap t u v ~is_desc_of_v =
-    let iu = ord t u and iv = ord t v in
-    if iu < iv then begin
-      let moved = ref [] and kept = ref [] in
-      for i = iv downto iu do
-        let id = t.arr.(i) in
-        if id = v || is_desc_of_v id then moved := id :: !moved
-        else kept := id :: !kept
-      done;
-      List.iteri
-        (fun off id ->
-          t.arr.(iu + off) <- id;
-          Hashtbl.replace t.pos id (iu + off))
-        (!moved @ !kept)
-    end
-
-  let to_list t = Array.to_list t.arr
-end
-
 (* Post-order (descendants-first) topological order of the subtree rooted
    at [root_id], as an id list. *)
 let subtree_order store root_id =
@@ -108,9 +68,12 @@ let subtree_order store root_id =
 (** Algorithm Δ(M,L)insert. [targets] is r[[p]]; [root_id] is rA;
     [new_nodes] are the subtree nodes that did not exist before the
     insertion (so NC = subtree \ new_nodes). The store must already
-    contain the subtree and the (target, rA) connection edges. *)
+    contain the subtree and the (target, rA) connection edges. Returns
+    the subtree ∪ targets — the nodes whose rows this update visited, and
+    the seed set for dirtying cached DP rows: every other node's
+    bottom-up value depends only on descendants outside this set. *)
 let on_insert (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets ~root_id
-    ~new_nodes : insert_stats =
+    ~new_nodes : int list =
   let la_list = subtree_order store root_id in
   let new_set = Hashtbl.create 16 in
   List.iter (fun id -> Hashtbl.replace new_set id ()) new_nodes;
@@ -122,7 +85,6 @@ let on_insert (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets ~root_id
      is descendants-first, so reversed); a node's new ancestors are its
      parents inside the subtree or among the targets, whose rows are
      already final. Rows only grow — each union a word-wise OR. *)
-  let pairs_added = ref 0 in
   List.iter
     (fun d ->
       let parents =
@@ -130,104 +92,33 @@ let on_insert (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets ~root_id
           (fun p -> Hashtbl.mem in_subtree p || Hashtbl.mem target_set p)
           (Store.parents store d)
       in
-      if parents <> [] then
-        pairs_added := !pairs_added + Reach.absorb_parents m d ~parents)
+      if parents <> [] then Reach.absorb_parents m d ~parents)
     (List.rev la_list);
-  (* --- L maintenance --- *)
-  let is_desc_of v x = Reach.is_ancestor m v x in
-  (* common nodes, in subtree (descendants-first) order *)
-  let nc = List.filter (fun id -> not (Hashtbl.mem new_set id)) la_list in
-  (* LNC: order NC by the *updated* ancestor relation (combined
-     constraints of T and ST), descendants first. *)
-  let la = Scratch.of_ids la_list in
-  let lnc =
-    let arr = Array.of_list nc in
-    let n = Array.length arr in
-    let adj = Array.make n [] and indeg = Array.make n 0 in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if i <> j && Reach.is_ancestor m arr.(j) arr.(i) then begin
-          (* arr.(j) ancestor of arr.(i): i must precede j *)
-          adj.(i) <- j :: adj.(i);
-          indeg.(j) <- indeg.(j) + 1
-        end
-      done
-    done;
-    let queue = Queue.create () in
-    for i = 0 to n - 1 do
-      if indeg.(i) = 0 then Queue.add i queue
-    done;
-    let out = ref [] in
-    while not (Queue.is_empty queue) do
-      let i = Queue.pop queue in
-      out := arr.(i) :: !out;
-      List.iter
-        (fun j ->
-          indeg.(j) <- indeg.(j) - 1;
-          if indeg.(j) = 0 then Queue.add j queue)
-        adj.(i)
-    done;
-    List.rev !out
-  in
-  (* Alignment (Fig. 7 lines 8-11), right to left. BOTH lists are aligned
-     with LNC, as in the paper: the merge below anchors each new node to
-     the next pivot in LA, which is only sound when L and LA agree on the
-     relative order of pivots — two valid topological orders may disagree
-     on unrelated pairs, so agreement must be enforced, not assumed. *)
-  let lnc_arr = Array.of_list lnc in
-  for k = Array.length lnc_arr - 1 downto 1 do
-    let u = lnc_arr.(k) and v = lnc_arr.(k - 1) in
-    if Scratch.mem la u && Scratch.mem la v && Scratch.ord la u < Scratch.ord la v
-    then Scratch.swap la u v ~is_desc_of_v:(is_desc_of v);
-    if Topo.mem l u && Topo.mem l v && Topo.ord l u < Topo.ord l v then
-      Topo.swap l u v ~is_desc_of_v:(is_desc_of v)
-  done;
-  (* Generalized lines 12-13: every already-present subtree node must end
-     up before every target it now descends from. *)
+  (* --- L maintenance (see the header) --- *)
+  let fresh, nc = List.partition (Hashtbl.mem new_set) la_list in
+  (* step 1, generalized lines 12-13: every common node must end up
+     before every target, which now reaches it *)
   List.iter
     (fun p ->
-      if Topo.mem l p then
-        List.iter
-          (fun u ->
-            if Topo.mem l u && Topo.ord l u < Topo.ord l p then
-              Topo.swap l u p ~is_desc_of_v:(is_desc_of p))
-          targets)
+      List.iter
+        (fun u ->
+          if Topo.ord l u < Topo.ord l p then
+            Topo.swap l u p ~is_desc_of_v:(Reach.is_ancestor m p))
+        targets)
     nc;
-  (* Merge (line 14): insert each new node before its next pivot in LA;
-     nodes with no following pivot go before the lowest-ordered target. *)
-  let fallback_anchor =
-    match targets with
-    | [] -> None
-    | t0 :: rest ->
-        Some
-          (List.fold_left
-             (fun best u -> if Topo.ord l u < Topo.ord l best then u else best)
-             t0 rest)
-  in
-  let anchored = ref [] in
-  let rec assign = function
-    | [] -> ()
-    | id :: rest ->
-        if Hashtbl.mem new_set id && not (Topo.mem l id) then begin
-          let anchor =
-            match List.find_opt (fun x -> Topo.mem l x) rest with
-            | Some pivot -> Some pivot
-            | None -> fallback_anchor
-          in
-          match anchor with
-          | Some a -> anchored := (id, a) :: !anchored
-          | None -> raise (Topo.Topo_error (Printf.sprintf "insert maintenance: no anchor for %d" id))
-        end;
-        assign rest
-  in
-  assign (Scratch.to_list la);
-  Topo.insert_before l (List.rev !anchored);
-  {
-    m_pairs_added = !pairs_added;
-    common_nodes = List.length nc;
-    merged_nodes = List.length !anchored;
-    touched = List.rev_append targets la_list;
-  }
+  (* step 2: the new nodes, descendants first, before the lowest target *)
+  (match targets with
+  | [] ->
+      if fresh <> [] then
+        raise (Topo.Topo_error "insert maintenance: new nodes but no target")
+  | t0 :: rest ->
+      let anchor =
+        List.fold_left
+          (fun best u -> if Topo.ord l u < Topo.ord l best then u else best)
+          t0 rest
+      in
+      Topo.insert_before l ~anchor fresh);
+  List.rev_append targets la_list
 
 (** Algorithm Δ(M,L)delete. [targets] is r[[p]]; the Ep(r) edges must
     already be removed from the store. Recomputes ancestor rows for
@@ -251,8 +142,6 @@ let on_delete (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets :
   let keep = Hashtbl.create 64 in
   (* absent = true; false once deleted *)
   let is_kept a = Option.value ~default:true (Hashtbl.find_opt keep a) in
-  let pairs_removed = ref 0 in
-  let cascade = ref [] in
   let deleted = ref [] in
   let deleted_slots = ref [] in
   let root = Store.root store in
@@ -261,17 +150,15 @@ let on_delete (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets :
       if d <> root then begin
         let pd = List.filter is_kept (Store.parents store d) in
         (* rebuild d's ancestor row from its kept parents, word-wise *)
-        pairs_removed :=
-          !pairs_removed + Reach.replace_row_from_parents m d ~parents:pd;
+        Reach.replace_row_from_parents m d ~parents:pd;
         if pd = [] then begin
           Hashtbl.replace keep d false;
           deleted := d :: !deleted;
           deleted_slots := (Store.node store d).Store.slot :: !deleted_slots;
           Topo.remove l d;
+          (* Δ'V: the cascade drops the dead node's out-edges *)
           List.iter
-            (fun d' ->
-              cascade := (d, d') :: !cascade;
-              ignore (Store.remove_edge store d d'))
+            (fun d' -> ignore (Store.remove_edge store d d'))
             (Store.children store d)
         end
       end)
@@ -282,19 +169,7 @@ let on_delete (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets :
       Reach.remove_row m d;
       Store.remove_node store d)
     !deleted;
-  {
-    m_pairs_removed = !pairs_removed;
-    cascade_edges = List.rev !cascade;
-    deleted_nodes = !deleted;
-    touched = lr;
-    deleted_slots = !deleted_slots;
-  }
-
-(** Full recomputation of both structures — the baseline that Table 1
-    compares incremental maintenance against. *)
-let recompute (store : Store.t) : Topo.t * Reach.t =
-  let l = Topo.of_store store in
-  (l, Reach.compute store l)
+  { deleted_nodes = !deleted; touched = lr; deleted_slots = !deleted_slots }
 
 (** Full-scan garbage collector: removes every node unreachable from the
     root. The incremental path (Fig. 8) should leave nothing for this to

@@ -3,27 +3,18 @@
     garbage collection of Section 2.3. Both entry points run *after* the
     store's edges were updated by Xinsert/Xdelete, matching Fig. 3.
 
-    Deliberate generalization over Fig. 7: the paper repositions only rA
-    relative to the targets (lines 12–13); when the inserted subtree
-    shares interior nodes with the view those can also sit after a target
-    in L, so the same swap-based fix is applied to every common subtree
-    node (required for validity under arbitrary sharing; property-tested
-    against recomputation). *)
-
-type insert_stats = {
-  m_pairs_added : int;
-  common_nodes : int;  (** |NC|: subtree nodes already present *)
-  merged_nodes : int;  (** new nodes spliced into L *)
-  touched : int list;
-      (** nodes whose Δ(M,L) rows this update visited (subtree ∪ targets)
-          — the seed set for dirtying cached DP rows: every other node's
-          bottom-up value depends only on descendants outside this set *)
-}
+    Δ(M,L)insert keeps L's own order instead of building LNC, aligning L
+    and LA with it and merging at pivots (Fig. 7 lines 6–11 and 14). Any
+    common subtree node that sits after a target moves in front of it
+    with [swap] (lines 12–13, applied to every common node, not only rA),
+    and the new nodes, in subtree post-order, are spliced immediately
+    before the lowest-ordered target. That is valid because an insertion
+    gives no existing node a new child except the targets: the only
+    reachability it adds among existing nodes is targets (and their
+    ancestors) reaching the common nodes. Property-tested against
+    recomputation. *)
 
 type delete_stats = {
-  m_pairs_removed : int;
-  cascade_edges : (int * int) list;
-      (** Δ'V: edges of fully-deleted nodes, removed by the collector *)
   deleted_nodes : int list;
   touched : int list;
       (** desc-or-self of the targets (including the nodes then deleted)
@@ -41,9 +32,14 @@ val on_insert :
   targets:int list ->
   root_id:int ->
   new_nodes:int list ->
-  insert_stats
-(** Algorithm Δ(M,L)insert. [targets] is r[[p]]; [root_id] is rA. The
-    store must already contain the subtree and the connection edges. *)
+  int list
+(** Algorithm Δ(M,L)insert. [targets] is r[[p]]; [root_id] is rA;
+    [new_nodes] are the subtree nodes not present before. The store must
+    already contain the subtree and the connection edges. Returns the
+    touched nodes (subtree ∪ targets) — the seed set for dirtying cached
+    DP rows: every other node's bottom-up value depends only on
+    descendants outside this set.
+    @raise Topo.Topo_error if there are new nodes but no target *)
 
 val on_delete :
   Store.t -> Topo.t -> Reach.t -> targets:int list -> delete_stats
@@ -52,13 +48,6 @@ val on_delete :
     (ancestors first), cascades orphan removal (Δ'V) and cleans L, M and
     the gen registries. *)
 
-val recompute : Store.t -> Topo.t * Reach.t
-(** the from-scratch baseline Table 1 compares against *)
-
 val collect_garbage : Store.t -> Topo.t -> Reach.t -> int list
 (** full-scan collector removing every node unreachable from the root;
     the incremental path should leave nothing for it to find (tested) *)
-
-val desc_or_self_set : Store.t -> int list -> (int, unit) Hashtbl.t
-val subtree_order : Store.t -> int -> int list
-(** descendants-first order of the subtree below a node *)

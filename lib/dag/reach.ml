@@ -252,30 +252,23 @@ let bits_of_parents m d parents =
   bits
 
 (** [absorb_parents m d ~parents]: anc(d) ∪= ∪_p ({p} ∪ anc(p)) — the
-    row-growing step of Δ(M,L)insert (Fig. 7, lines 3–5). Returns the
-    number of M pairs added. *)
+    row-growing step of Δ(M,L)insert (Fig. 7, lines 3–5). *)
 let absorb_parents m d ~parents =
   let sd = slot_of m d in
   ensure_slot m sd;
   cow m sd;
-  let rd = m.anc.(sd) in
-  let before = Sparse.pop_count rd in
-  Sparse.union_into ~dst:rd (bits_of_parents m d parents);
-  invalidate m;
-  Sparse.pop_count rd - before
+  Sparse.union_into ~dst:m.anc.(sd) (bits_of_parents m d parents);
+  invalidate m
 
 (** [replace_row_from_parents m d ~parents]: anc(d) := ∪_p ({p} ∪ anc(p))
-    — the row-rebuilding step of Δ(M,L)delete (Fig. 8). Returns the net
-    number of M pairs removed (old |anc(d)| − new). *)
+    — the row-rebuilding step of Δ(M,L)delete (Fig. 8). *)
 let replace_row_from_parents m d ~parents =
   let sd = slot_of m d in
   ensure_slot m sd;
-  let old = Sparse.pop_count m.anc.(sd) in
   let bits = bits_of_parents m d parents in
   save_row m sd;
   m.anc.(sd) <- bits;
-  invalidate m;
-  old - Sparse.pop_count bits
+  invalidate m
 
 (** {2 Read access for the DAG evaluator} — slot-set queries against the
     forward rows; [slot_of] lets callers build (dense) query sets

@@ -62,15 +62,13 @@ val remove_row : t -> int -> unit
     the node on the ancestor side are the caller's responsibility
     (Δ(M,L)delete rebuilds every affected descendant row first) *)
 
-val absorb_parents : t -> int -> parents:int list -> int
+val absorb_parents : t -> int -> parents:int list -> unit
 (** [absorb_parents m d ~parents]: anc(d) ∪= ∪_p ({p} ∪ anc(p)), the
-    row-growing ΔM step of Δ(M,L)insert (Fig. 7), word-wise. Returns the
-    number of M pairs added. *)
+    row-growing ΔM step of Δ(M,L)insert (Fig. 7), word-wise. *)
 
-val replace_row_from_parents : t -> int -> parents:int list -> int
+val replace_row_from_parents : t -> int -> parents:int list -> unit
 (** [replace_row_from_parents m d ~parents]: anc(d) := ∪_p ({p} ∪ anc(p)),
-    the row-rebuilding ΔM step of Δ(M,L)delete (Fig. 8). Returns the net
-    number of M pairs removed. *)
+    the row-rebuilding ΔM step of Δ(M,L)delete (Fig. 8). *)
 
 val anc_intersects : t -> int -> Bitset.t -> bool
 (** does anc(id) meet the given slot set? One word-wise intersection. *)

@@ -8,15 +8,15 @@
     The structure supports the operations the maintenance algorithms of
     Section 3.4 need: ordinal comparison, the paper's [swap(L, u, v)] move
     (relocating L[u:v] ∩ desc(v) immediately in front of u), tombstoned
-    removal, and pivot-based merging of a subtree order (Fig. 7, line 14).
+    removal, and splicing new nodes in front of an anchor.
     Tombstones keep removal O(1); the array compacts when more than half
     the slots are dead.
 
     The position map is a plain int array indexed by node id — the store
     allocates ids densely from 0, so this is exact, and it keeps the
-    maintenance hot paths (every [ord]/[mem], and the full-position
-    rewrites of [compact]/[insert_before]) at array-write cost instead of
-    a hashtable operation per node. *)
+    maintenance hot paths (every [ord]/[mem], and the position rewrites
+    of [compact]/[insert_before]) at array-write cost instead of a
+    hashtable operation per node. *)
 
 module Journal = Rxv_relational.Journal
 
@@ -233,53 +233,42 @@ let swap l u v ~is_desc_of_v =
       window
   end
 
-(** [insert_before l anchored] splices new nodes into L: [anchored] maps
-    each new id to the existing id it must precede; ids sharing an anchor
-    keep their list order. O(|L| + inserts) array writes, in place (the
-    array grows by amortized doubling): a fresh O(|L|) allocation per
-    update would be paid mostly in GC work against the engine's live
-    heap. *)
-let insert_before l (anchored : (int * int) list) =
-  if anchored <> [] then begin
-    unshare l;
-    let by_anchor = Hashtbl.create 8 in
-    let k = ref 0 in
+(** [insert_before l ~anchor ids] splices the new nodes [ids], in list
+    order, immediately before [anchor]. Only the tail from the anchor on
+    shifts, in place (the array grows by amortized doubling): a fresh
+    O(|L|) allocation per update would be paid mostly in GC work against
+    the engine's live heap. *)
+let insert_before l ~anchor ids =
+  if ids <> [] then begin
     List.iter
-      (fun (nid, anchor) ->
-        if mem l nid then
-          topo_error "insert_before: node %d already in L" nid;
-        let idx = ord l anchor in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt by_anchor idx) in
-        Hashtbl.replace by_anchor idx (prev @ [ nid ]);
-        incr k)
-      anchored;
-    let k = !k in
-    (* inverse: one self-contained closure restoring the pre-insert state.
-       It re-installs the original array objects (the shift below may swap
-       [l.arr] by doubling, and [set_pos] may swap [l.pos] mid-loop, so
-       entry-by-entry undo against [l.arr] would be ambiguous), clears the
-       new ids' positions and rewrites the originals from a saved prefix.
-       The O(len) save does not change the cost class: the shift loop
-       below is already O(len). *)
+      (fun id ->
+        if mem l id then topo_error "insert_before: node %d already in L" id)
+      ids;
+    let ia = ord l anchor in
+    unshare l;
+    let k = List.length ids in
+    (* inverse: re-install the original array objects (growing swaps
+       [l.arr], and [ensure_pos] may swap [l.pos]), clear the new ids'
+       positions and rewrite the saved tail *)
     if recording l then begin
       let old_arr = l.arr and old_pos = l.pos in
       let old_len = l.len and old_live = l.live in
-      let saved = Array.sub l.arr 0 l.len in
+      let tail = Array.sub l.arr ia (l.len - ia) in
       Journal.record l.journal (fun () ->
           l.arr <- old_arr;
           l.pos <- old_pos;
           List.iter
-            (fun (nid, _) ->
-              if nid < Array.length old_pos then old_pos.(nid) <- -1)
-            anchored;
-          Array.blit saved 0 old_arr 0 old_len;
-          for i = 0 to old_len - 1 do
-            let id = saved.(i) in
-            if id >= 0 then old_pos.(id) <- i
-          done;
+            (fun id -> if id < Array.length old_pos then old_pos.(id) <- -1)
+            ids;
+          Array.iteri
+            (fun i id ->
+              old_arr.(ia + i) <- id;
+              if id >= 0 then old_pos.(id) <- ia + i)
+            tail;
           l.len <- old_len;
           l.live <- old_live)
     end;
+    List.iter (ensure_pos l) ids;
     if l.len + k > Array.length l.arr then begin
       let arr =
         Array.make (max 8 (max (l.len + k) (2 * Array.length l.arr))) (-1)
@@ -287,33 +276,16 @@ let insert_before l (anchored : (int * int) list) =
       Array.blit l.arr 0 arr 0 l.len;
       l.arr <- arr
     end;
-    (* shift right, back to front, dropping each anchor's news (in list
-       order) immediately before the anchor; anchors are walked as a
-       descending list so the loop does plain array moves, not a lookup
-       per index *)
-    let anchors =
-      List.sort
-        (fun (a, _) (b, _) -> compare b a)
-        (Hashtbl.fold (fun idx news acc -> (idx, news) :: acc) by_anchor [])
-    in
-    let pending = ref anchors in
-    let j = ref (l.len + k - 1) in
-    for i = l.len - 1 downto 0 do
+    for i = l.len - 1 downto ia do
       let id = l.arr.(i) in
-      l.arr.(!j) <- id;
-      if id >= 0 then l.pos.(id) <- !j;
-      decr j;
-      match !pending with
-      | (idx, news) :: rest when idx = i ->
-          pending := rest;
-          List.iter
-            (fun nid ->
-              l.arr.(!j) <- nid;
-              set_pos l nid !j;
-              decr j)
-            (List.rev news)
-      | _ -> ()
+      l.arr.(i + k) <- id;
+      if id >= 0 then l.pos.(id) <- i + k
     done;
+    List.iteri
+      (fun j id ->
+        l.arr.(ia + j) <- id;
+        l.pos.(id) <- ia + j)
+      ids;
     l.len <- l.len + k;
     l.live <- l.live + k
   end

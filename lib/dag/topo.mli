@@ -3,7 +3,7 @@
     root last. Algorithm Reach consumes L backwards; the bottom-up XPath
     pass consumes it forwards. Supports the maintenance operations of
     Section 3.4: ordinal comparison, the paper's [swap(L, u, v)] move,
-    tombstoned removal and pivot-based merging. *)
+    tombstoned removal and splicing new nodes before an anchor. *)
 
 type t
 
@@ -22,7 +22,7 @@ val commit : t -> unit
 
 val abort : t -> unit
 (** undo every removal/swap/splice since the matching {!begin_}, in O(Δ)
-    for removals and swaps (splices restore a saved prefix, matching the
+    for removals and swaps (splices restore a saved tail, matching the
     cost of the splice itself).
     @raise Rxv_relational.Journal.No_transaction without a frame *)
 
@@ -56,9 +56,10 @@ val swap : t -> int -> int -> is_desc_of_v:(int -> bool) -> unit
     groups. [is_desc_of_v] must answer against the *updated* reachability.
     O(|L[u:v]|). *)
 
-val insert_before : t -> (int * int) list -> unit
-(** splice new nodes before their anchors (Fig. 7 line 14's merge); ids
-    sharing an anchor keep their list order. One array rebuild. *)
+val insert_before : t -> anchor:int -> int list -> unit
+(** [insert_before l ~anchor ids] splices the new nodes [ids], in list
+    order, immediately before [anchor]. Shifts only the tail of L from
+    the anchor on. @raise Topo_error if an id is already in L *)
 
 val is_valid : t -> Store.t -> bool
 (** test oracle: every edge's child precedes its parent and |L| = n *)

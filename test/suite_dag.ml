@@ -374,6 +374,52 @@ let interleaved_maintenance =
       done;
       !ok)
 
+(* --- Δ(M,L)insert keeps L's own order: only the pairs the new edges
+   order are moved, and new nodes land right before the lowest target.
+   Two valid orders may disagree on unrelated pairs; maintenance must not
+   reorder those. --- *)
+
+(* nodes 0..n-1 (ids as allocated), rooted at 0, with [edges] *)
+let small_dag n edges =
+  let store = Store.create () in
+  for k = 0 to n - 1 do
+    check_int "dense ids" k (Store.gen_id store "n" [| Value.Int k |] ())
+  done;
+  Store.set_root store 0;
+  List.iter (fun (u, v) -> Store.add_edge store u v ~provenance:None) edges;
+  store
+
+let test_insert_moves_only_forced () =
+  let edges = [ (0, 1); (0, 2); (2, 3); (2, 4) ] in
+  let order = Alcotest.(check (list int)) in
+  (* (a) a re-link 1 → 2 between existing nodes: L is already valid, so
+     nothing moves — 4 and 3 keep their (unforced) relative order *)
+  let store = small_dag 5 edges in
+  let l = Topo.of_ids [ 4; 3; 2; 1; 0 ] in
+  let m = Reach.compute store l in
+  Store.add_edge store 1 2 ~provenance:None;
+  ignore (Maintain.on_insert store l m ~targets:[ 1 ] ~root_id:2 ~new_nodes:[]);
+  order "re-link keeps L" [ 4; 3; 2; 1; 0 ] (Topo.to_list l);
+  check "valid" true (Topo.is_valid l store);
+  (* (b) a subtree of new nodes 5 → 6 → 3, 5 → 4 under target 1: the
+     common nodes 3 and 4 move before 1, and 6, 5 (subtree post-order)
+     are spliced right before it *)
+  let store = small_dag 5 edges in
+  let l = Topo.of_ids [ 1; 4; 3; 2; 0 ] in
+  let m = Reach.compute store l in
+  let n5 = Store.gen_id store "n" [| Value.Int 5 |] () in
+  let n6 = Store.gen_id store "n" [| Value.Int 6 |] () in
+  check "dense ids" true (n5 = 5 && n6 = 6);
+  List.iter
+    (fun (u, v) -> Store.add_edge store u v ~provenance:None)
+    [ (5, 6); (6, 3); (5, 4); (1, 5) ];
+  ignore
+    (Maintain.on_insert store l m ~targets:[ 1 ] ~root_id:5 ~new_nodes:[ 5; 6 ]);
+  order "splice before the target" [ 3; 4; 6; 5; 1; 2; 0 ] (Topo.to_list l);
+  check "valid" true (Topo.is_valid l store);
+  check "M = recompute" true
+    (Reach.equal m (Reach.compute store (Topo.of_store store)) store)
+
 (* --- store invariants --- *)
 
 let test_store_basics () =
@@ -457,6 +503,8 @@ let tests =
     swap_restores_validity;
     maintenance_matches_recompute;
     interleaved_maintenance;
+    Alcotest.test_case "Δ(M,L)insert moves only what the new edges force"
+      `Quick test_insert_moves_only_forced;
     Alcotest.test_case "store basics" `Quick test_store_basics;
     Alcotest.test_case "provenance accumulates" `Quick
       test_store_provenance_accumulates;

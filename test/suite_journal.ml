@@ -208,7 +208,8 @@ let test_topo_abort () =
   Topo.begin_ l;
   Topo.remove l 2;
   Topo.swap l 3 4 ~is_desc_of_v:(fun id -> id = 4);
-  Topo.insert_before l [ (10, 1); (11, 1); (12, 4) ];
+  Topo.insert_before l ~anchor:1 [ 10; 11 ];
+  Topo.insert_before l ~anchor:4 [ 12 ];
   check "mutated inside frame" true (Topo.to_list l <> before);
   check_int "live inside frame" 7 (Topo.live_count l);
   Topo.abort l;
@@ -239,7 +240,7 @@ let test_reach_abort () =
   let m0 = Reach.copy ~store:st m in
   Reach.begin_ m;
   Reach.remove_pair m a c;
-  ignore (Reach.absorb_parents m b ~parents:[ c ]);
+  Reach.absorb_parents m b ~parents:[ c ];
   Reach.remove_row m b;
   check "mutated inside frame" false (Reach.equal m m0 st);
   Reach.abort m;

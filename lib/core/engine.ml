@@ -434,35 +434,43 @@ type stats = {
   sat_learned_kept : int;  (** CDCL learned clauses retained *)
 }
 
+(* The Fig. 10(b) statistics of a node table, live or frozen: the node
+   occurrences of the uncompressed tree ([occ] per node) and the sharing
+   rate. The paper's sharing statistic counts shared instances of
+   star-child types (31.4% of C instances): structural seq children
+   always have in-degree 1 and would dilute it. *)
+let tree_stats atg ~fold_nodes ~in_degree occ =
+  let star_children =
+    List.sort_uniq compare (List.map snd (Atg.star_positions atg))
+  in
+  let shared, star_total =
+    fold_nodes
+      (fun nd ((s, t) as acc) ->
+        if List.mem nd.Store.etype star_children then
+          ((if in_degree nd.Store.id > 1 then s + 1 else s), t + 1)
+        else acc)
+      (0, 0)
+  in
+  ( Hashtbl.fold (fun _ c acc -> acc + c) occ 0,
+    if star_total = 0 then 0.
+    else float_of_int shared /. float_of_int star_total )
+
 let stats (e : t) : stats =
   let c = Eval_cache.counters e.cache in
   let sc = Vinsert.counters e.sat in
-  let occ = Store.occurrence_counts e.store in
-  let total = Hashtbl.fold (fun _ c acc -> acc + c) occ 0 in
-  let n = Store.n_nodes e.store in
-  (* the paper's sharing statistic counts shared instances of star-child
-     types (31.4% of C instances): structural seq children always have
-     in-degree 1 and would dilute it *)
-  let star_children =
-    List.sort_uniq compare (List.map snd (Atg.star_positions e.atg))
-  in
-  let shared, star_total =
-    Store.fold_nodes
-      (fun nd ((s, t) as acc) ->
-        if List.mem nd.Store.etype star_children then
-          ((if Store.in_degree e.store nd.Store.id > 1 then s + 1 else s), t + 1)
-        else acc)
-      e.store (0, 0)
+  let occurrences, sharing =
+    tree_stats e.atg
+      ~fold_nodes:(fun f acc -> Store.fold_nodes f e.store acc)
+      ~in_degree:(Store.in_degree e.store)
+      (Store.occurrence_counts e.store)
   in
   {
-    n_nodes = n;
+    n_nodes = Store.n_nodes e.store;
     n_edges = Store.n_edges e.store;
     m_size = Reach.size e.reach;
     l_size = Topo.live_count e.topo;
-    occurrences = total;
-    sharing =
-      (if star_total = 0 then 0.
-       else float_of_int shared /. float_of_int star_total);
+    occurrences;
+    sharing;
     txn_depth = Rxv_relational.Journal.depth (Database.journal e.db);
     wal_records =
       Option.map (fun h -> h.records_since_checkpoint ()) e.wal;
@@ -544,9 +552,9 @@ let reset_from (e : t) (db : Database.t) (store : Store.t) ~(seed : int) :
 
 (** {2 MVCC snapshots}
 
-    A snapshot is an immutable image of the committed engine state: the
-    frozen database, store, L and M views plus the cache generation they
-    correspond to. Capture is O(touched rows since the last capture) —
+    A snapshot is an immutable image of the committed view state: the
+    frozen store, L and M views plus the cache generation they
+    correspond to. Capture is O(touched nodes since the last capture) —
     the persistent per-structure views share everything untouched — and
     reads against a snapshot take no engine lock at all: the writer can
     mutate (and even commit further generations) concurrently. *)
@@ -556,7 +564,6 @@ module Snapshot = struct
 
   type t = {
     owner : engine;
-    db_view : Database.view;
     store_view : Store.view;
     topo_view : Topo.view;
     reach_view : Reach.view;
@@ -577,13 +584,11 @@ module Snapshot = struct
   let capture (e : engine) : t =
     if Rxv_relational.Journal.depth (Database.journal e.db) > 0 then
       invalid_arg "Engine.Snapshot.capture: transaction frame open";
-    let db_view = Database.freeze e.db in
     let store_view = Store.freeze e.store in
     let topo_view = Topo.freeze e.topo in
     let reach_view = Reach.freeze e.reach in
     {
       owner = e;
-      db_view;
       store_view;
       topo_view;
       reach_view;
@@ -601,7 +606,6 @@ module Snapshot = struct
     }
 
   let generation (s : t) = s.generation
-  let database (s : t) = s.db_view
 
   (** Evaluate an XPath query against the snapshot — no engine lock.
       Repeat queries are answered from the snapshot's own memo (the
@@ -639,33 +643,21 @@ module Snapshot = struct
     match s.stats_memo with
     | Some st -> st
     | None ->
-        let e = s.owner in
-        let occ = Store.view_occurrence_counts s.store_view in
-        let total = Hashtbl.fold (fun _ c acc -> acc + c) occ 0 in
-        let star_children =
-          List.sort_uniq compare (List.map snd (Atg.star_positions e.atg))
-        in
-        let shared, star_total =
-          Store.view_fold_nodes
-            (fun nd ((sh, tot) as acc) ->
-              if List.mem nd.Store.etype star_children then
-                ( (if Store.view_in_degree s.store_view nd.Store.id > 1 then
-                     sh + 1
-                   else sh),
-                  tot + 1 )
-              else acc)
-            s.store_view (0, 0)
+        let v = s.store_view in
+        let occurrences, sharing =
+          tree_stats s.owner.atg
+            ~fold_nodes:(fun f acc -> Store.view_fold_nodes f v acc)
+            ~in_degree:(Store.view_in_degree v)
+            (Store.view_occurrence_counts v)
         in
         let st =
           {
-            n_nodes = Store.view_n_nodes s.store_view;
-            n_edges = Store.view_n_edges s.store_view;
+            n_nodes = Store.view_n_nodes v;
+            n_edges = Store.view_n_edges v;
             m_size = Reach.view_size s.reach_view;
             l_size = Topo.view_live_count s.topo_view;
-            occurrences = total;
-            sharing =
-              (if star_total = 0 then 0.
-               else float_of_int shared /. float_of_int star_total);
+            occurrences;
+            sharing;
             txn_depth = 0;
             wal_records = s.wal_records;
             cache_hits = s.cache_counters.Eval_cache.hits;

@@ -184,11 +184,12 @@ val reset_from : t -> Database.t -> Store.t -> seed:int -> unit
 
 (** {2 MVCC snapshots}
 
-    An immutable image of the committed engine state — the frozen
-    database, store, L and M views plus the cache generation they belong
-    to. Capture costs O(rows touched since the previous capture): each
-    layer keeps a persistent committed view and patches only its dirty
-    keys, and the L and M arrays are shared copy-on-write. Reads against
+    An immutable image of the committed view state — the frozen store,
+    L and M views plus the cache generation they belong to. XPath reads
+    need nothing else; the base database is not captured. Capture costs
+    O(nodes touched since the previous capture): the store keeps a
+    persistent committed view and patches only its dirty nodes, and the
+    L and M arrays are shared copy-on-write. Reads against
     a snapshot take {e no} engine lock: the writer may mutate, commit
     and publish further generations concurrently, and the snapshot still
     answers from its own generation. *)
@@ -217,9 +218,6 @@ module Snapshot : sig
 
   val generation : t -> int
   (** the cache/DAG generation the snapshot was frozen at *)
-
-  val database : t -> Database.view
-  (** the frozen base database the view was published from *)
 end
 
 val apply_group :

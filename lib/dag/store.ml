@@ -449,18 +449,6 @@ let gen_view t etype =
     gv_reset = gs.gs_reset;
   }
 
-(** Per edge-relation (A, B) tuple counts — the |edge_A_B| statistics of
-    Fig. 10(b). *)
-let edge_relation_sizes t =
-  let tbl = Hashtbl.create 16 in
-  iter_edges
-    (fun u v _ ->
-      let key = ((node t u).etype, (node t v).etype) in
-      Hashtbl.replace tbl key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
-    t;
-  List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl [])
-
 (** {2 Tree materialization}
 
     Uncompresses the DAG below [id] into a tree — the view semantics that
@@ -542,7 +530,6 @@ type view = {
   v_parents : int list Imap.t;
   v_root : int;
   v_n_edges : int;
-  v_slot_capacity : int;
 }
 
 let freeze t =
@@ -573,15 +560,12 @@ let freeze t =
     v_parents = t.c_parents;
     v_root = t.root;
     v_n_edges = Hashtbl.length t.edges;
-    v_slot_capacity = t.next_slot;
   }
 
 let view_node v id =
   match Imap.find_opt id v.v_nodes with
   | Some n -> n
   | None -> dag_error "view: unknown node id %d" id
-
-let view_mem_node v id = Imap.mem id v.v_nodes
 
 let view_children v id =
   Option.value ~default:[] (Imap.find_opt id v.v_children)
@@ -594,7 +578,6 @@ let view_root v =
 
 let view_n_nodes v = Imap.cardinal v.v_nodes
 let view_n_edges v = v.v_n_edges
-let view_slot_capacity v = v.v_slot_capacity
 let view_fold_nodes f v acc = Imap.fold (fun _ n acc -> f n acc) v.v_nodes acc
 
 let view_occurrence_counts v =

@@ -121,9 +121,6 @@ val gen_view : t -> string -> gen_view
     happened in between) — the insertion translator uses this to extend
     cached per-registry structures in O(new ids) per update. *)
 
-val edge_relation_sizes : t -> ((string * string) * int) list
-(** |edge_A_B| per relation — the statistics of Fig. 10(b) *)
-
 val tree_of : ?max_nodes:int -> t -> int -> Rxv_xml.Tree.t
 (** materialize the (uncompressed) tree below a node; sizes can be
     exponential in the DAG, so [max_nodes] guards oracles.
@@ -155,8 +152,6 @@ val freeze : t -> view
 val view_node : view -> int -> node
 (** @raise Dag_error for ids unknown to the view. *)
 
-val view_mem_node : view -> int -> bool
-
 val view_children : view -> int -> int list
 (** ordered (document order) *)
 
@@ -168,10 +163,6 @@ val view_root : view -> int
 
 val view_n_nodes : view -> int
 val view_n_edges : view -> int
-
-val view_slot_capacity : view -> int
-(** the live store's slot capacity at freeze time — bitsets sized
-    against it cover every node of the view *)
 
 val view_fold_nodes : (node -> 'a -> 'a) -> view -> 'a -> 'a
 

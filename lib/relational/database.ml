@@ -56,33 +56,6 @@ let copy db =
     db.instances;
   { schema = db.schema; instances; journal }
 
-(* ---- frozen views (MVCC snapshot reads) ---- *)
-
-type view = {
-  v_schema : Schema.db;
-  v_relations : (string, Relation.view) Hashtbl.t;
-}
-
-(** [freeze db] is an immutable view of every instance, costing
-    O(touched keys) since the last freeze (see {!Relation.freeze}).
-    Capture it with no transaction frame open to get committed state. *)
-let freeze db =
-  let v_relations = Hashtbl.create (Hashtbl.length db.instances) in
-  Hashtbl.iter
-    (fun name r -> Hashtbl.replace v_relations name (Relation.freeze r))
-    db.instances;
-  { v_schema = db.schema; v_relations }
-
-let view_schema v = v.v_schema
-
-let view_relation v name =
-  match Hashtbl.find_opt v.v_relations name with
-  | Some r -> r
-  | None -> Schema.schema_error "database view has no relation %s" name
-
-let view_cardinal v =
-  Hashtbl.fold (fun _ r n -> n + Relation.view_cardinal r) v.v_relations 0
-
 let iter_relations f db =
   List.iter
     (fun r -> f r.Schema.rname (relation db r.Schema.rname))

@@ -39,24 +39,6 @@ val cardinal : t -> int
 val copy : t -> t
 (** deep copy (used by republish-and-compare test oracles) *)
 
-(** {2 Frozen views} *)
-
-type view
-(** an immutable image of every instance; see {!Relation.freeze} for the
-    structure-sharing guarantees *)
-
-val freeze : t -> view
-(** O(keys touched since the last freeze); capture with no transaction
-    frame open to get committed state *)
-
-val view_schema : view -> Schema.db
-
-val view_relation : view -> string -> Relation.view
-(** @raise Schema.Schema_error if the relation does not exist *)
-
-val view_cardinal : view -> int
-(** total tuples across all relation views *)
-
 val iter_relations : (string -> Relation.t -> unit) -> t -> unit
 
 val equal : t -> t -> bool

@@ -1,6 +1,7 @@
 (** SPJ query evaluation: compile-once left-deep hash-join pipelines with
-    selection pushdown, plus bulk grouped evaluation of parameterized
-    rules. Joins probe the relations' persistent secondary indexes
+    selection pushdown. Publishing prepares each star rule once and runs
+    it per parent node, with the parent's attribute as parameters. Joins
+    probe the relations' persistent secondary indexes
     ({!Relation.index_on}), which survive across calls and are maintained
     incrementally under updates. *)
 
@@ -26,12 +27,3 @@ val run : Database.t -> Spj.t -> ?params:Tuple.t -> unit -> Tuple.t list
 (** [run db q ~params ()] = [run_prepared db (prepare db q) ~params ()].
     Callers evaluating the same query repeatedly should {!prepare} once.
     @raise Eval_error on unbound aliases or missing parameters. *)
-
-val run_grouped :
-  Database.t -> Spj.t -> nparams:int -> (Value.t list -> Tuple.t list) option
-(** Bulk evaluation for publishing: when every parameter is bound to a
-    column by an equality predicate, evaluate the query once and group by
-    parameter value, so expanding a whole view costs one pass instead of
-    one evaluation per parent. [None] when some parameter has no column
-    binding (callers fall back to {!run}). [lookup params] equals
-    [run db q ~params ()] up to row order. *)

@@ -15,16 +15,6 @@
 
 type index = (Value.t list, Tuple.t list) Hashtbl.t
 
-(* Persistent key→tuple map backing frozen views. Value.t is a pure
-   scalar variant, so structural compare is a total order on keys. *)
-module Kmap = Map.Make (struct
-  type t = Value.t list
-
-  let compare = Stdlib.compare
-end)
-
-type view = { v_schema : Schema.relation; v_rows : Tuple.t Kmap.t }
-
 type t = {
   schema : Schema.relation;
   rows : (Value.t list, Tuple.t) Hashtbl.t;
@@ -34,12 +24,6 @@ type t = {
       (** undo journal this relation records into — shared across a
           database's relations ({!Database.attach}); [None] for
           standalone relations *)
-  mutable committed : Tuple.t Kmap.t;
-      (** persistent image of [rows] as of the last {!freeze}, patched
-          incrementally — never rebuilt from scratch *)
-  dirty : (Value.t list, unit) Hashtbl.t;
-      (** keys possibly changed since the last {!freeze}; a superset is
-          harmless (the patch rewrites them with their current value) *)
   mutable int_max : int;
       (** watermark over every [Value.Int] field of every row (0 when
           none), kept current by insert and invalidated by a delete that
@@ -57,8 +41,6 @@ let create schema =
     rows = Hashtbl.create 64;
     indexes = Hashtbl.create 4;
     journal = None;
-    committed = Kmap.empty;
-    dirty = Hashtbl.create 64;
     int_max = 0;
     int_max_valid = true;
   }
@@ -147,7 +129,6 @@ let rec insert r t =
   match Hashtbl.find_opt r.rows key with
   | None ->
       Hashtbl.replace r.rows key t;
-      Hashtbl.replace r.dirty key ();
       Hashtbl.iter (fun cols idx -> index_add idx cols t) r.indexes;
       (if r.int_max_valid then
          let m = tuple_int_max t in
@@ -167,7 +148,6 @@ and delete_key r key =
   | None -> false
   | Some t ->
       Hashtbl.remove r.rows key;
-      Hashtbl.replace r.dirty key ();
       Hashtbl.iter (fun cols idx -> index_remove idx cols t) r.indexes;
       (if r.int_max_valid && r.int_max > 0 && tuple_int_max t = r.int_max then
          r.int_max_valid <- false);
@@ -185,19 +165,13 @@ let to_list r =
 
 (* the copy starts with an empty index cache (indexes hold physical tuple
    references into *this* relation and rebuild on demand in the copy) and
-   no journal: a copy is an independent instance. Its committed image
-   starts empty with every key dirty, so the first freeze rebuilds it. *)
+   no journal: a copy is an independent instance. *)
 let copy r =
-  let rows = Hashtbl.copy r.rows in
-  let dirty = Hashtbl.create (max 64 (Hashtbl.length rows)) in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace dirty k ()) rows;
   {
     schema = r.schema;
-    rows;
+    rows = Hashtbl.copy r.rows;
     indexes = Hashtbl.create 4;
     journal = None;
-    committed = Kmap.empty;
-    dirty;
     int_max = 0;
     int_max_valid = false;
   }
@@ -206,37 +180,6 @@ let copy r =
     demand) — lets benchmarks measure genuinely cold probe paths and
     callers reclaim memory after a bulk load. *)
 let drop_indexes r = Hashtbl.reset r.indexes
-
-(* ---- frozen views (MVCC snapshot reads) ---- *)
-
-(** [freeze r] is an immutable view of the current contents, produced in
-    O(|dirty| · log n) by patching the previous view with the current
-    value of every key touched since the last freeze. The view shares
-    all untouched structure with previous views and with the live
-    relation (tuples are never copied). Call it with no transaction
-    frame open to capture committed state. *)
-let freeze r =
-  let patched =
-    Hashtbl.fold
-      (fun key () m ->
-        match Hashtbl.find_opt r.rows key with
-        | Some t -> Kmap.add key t m
-        | None -> Kmap.remove key m)
-      r.dirty r.committed
-  in
-  r.committed <- patched;
-  Hashtbl.reset r.dirty;
-  { v_schema = r.schema; v_rows = patched }
-
-let view_schema v = v.v_schema
-let view_cardinal v = Kmap.cardinal v.v_rows
-let view_find v key = Kmap.find_opt key v.v_rows
-let view_mem_key v key = Kmap.mem key v.v_rows
-let view_fold f v acc = Kmap.fold (fun _ t acc -> f t acc) v.v_rows acc
-let view_iter f v = Kmap.iter (fun _ t -> f t) v.v_rows
-
-let view_to_list v =
-  List.sort Tuple.compare (view_fold (fun t acc -> t :: acc) v [])
 
 (** [select_eq r col v] scans for tuples whose attribute at position [col]
     equals [v]. Callers needing repeated lookups should use {!index_on}. *)

@@ -51,31 +51,6 @@ val copy : t -> t
 (** deep copy of the rows; the secondary-index cache starts empty and
     rebuilds on demand *)
 
-(** {2 Frozen views}
-
-    A {!view} is an immutable image of the relation built on a
-    persistent map. Successive views share all untouched structure with
-    each other and with the live relation, so concurrent readers can
-    keep using a view while the live relation mutates. *)
-
-type view
-
-val freeze : t -> view
-(** [freeze r] captures the current contents in O(k · log n) where k is
-    the number of keys touched since the previous freeze — tuples are
-    shared, never copied. Capture with no transaction frame open to get
-    committed state. *)
-
-val view_schema : view -> Schema.relation
-val view_cardinal : view -> int
-val view_find : view -> Value.t list -> Tuple.t option
-val view_mem_key : view -> Value.t list -> bool
-val view_fold : (Tuple.t -> 'a -> 'a) -> view -> 'a -> 'a
-val view_iter : (Tuple.t -> unit) -> view -> unit
-
-val view_to_list : view -> Tuple.t list
-(** all tuples of the view, sorted — deterministic for tests *)
-
 val index_on : t -> int list -> (Value.t list, Tuple.t list) Hashtbl.t
 (** [index_on r cols]: the secondary hash index over column positions
     [cols], mapping each projection to its tuples. Built by one scan on

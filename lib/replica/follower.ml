@@ -321,13 +321,11 @@ let rebuild_from_disk t p =
    epoch, rebuild the engine from the surviving prefix, and resume
    pulling as an ordinary follower. *)
 let repair_divergence t ~boundary ~epoch =
-  t.n_repairs <- t.n_repairs + 1;
-  Metrics.incr (Server.metrics t.server) "repl_divergence_repairs";
   Log.warn (fun m ->
       m "%s: position %d is beyond epoch-%d boundary %d: truncating %d \
          diverged commit(s)"
         t.name t.after_ epoch boundary (t.after_ - boundary));
-  match t.persist with
+  (match t.persist with
   | None ->
       (* volatile: nothing to truncate — rebuild from scratch; the next
          pull (from commit 0) is answered with a checkpoint reset *)
@@ -350,7 +348,11 @@ let repair_divergence t ~boundary ~epoch =
             m "%s: dropped %d diverged commit(s); rejoining at %d as an \
                epoch-%d follower"
               t.name dropped t.after_ epoch)
-      end
+      end);
+  (* counted once complete: a reader that sees the count also sees the
+     new epoch and the truncated position *)
+  t.n_repairs <- t.n_repairs + 1;
+  Metrics.incr (Server.metrics t.server) "repl_divergence_repairs"
 
 (* peer's applied position, or None when unreachable *)
 let peer_position addr =

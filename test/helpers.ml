@@ -179,6 +179,7 @@ let synth_path_gen ~max_key =
   | s :: rest ->
       return (List.fold_left (fun acc st -> Ast.Seq (acc, st)) s rest)
 
-let qtest ?(count = 100) name gen print prop =
+(* [long_factor] multiplies [count] when QCHECK_LONG=1 is set *)
+let qtest ?(count = 100) ?long_factor name gen print prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count ~print gen prop)
+    (QCheck2.Test.make ~name ~count ?long_factor ~print gen prop)

@@ -1,7 +1,13 @@
 (* The DAG evaluator against the tree oracle on *arbitrary* random DAGs —
    including shapes no ATG would publish (a node playing several step
    roles, dense sharing, diamonds) — to stress the two-pass algorithm and
-   the conservative side-effect detector beyond the synthetic views. *)
+   the conservative side-effect detector beyond the synthetic views.
+
+   Fuzzing of this kind found the union-over-roles unsoundness that
+   docs/ALGORITHMS.md documents. The two soundness properties run 300
+   cases each by default and 30,000 under QCHECK_LONG=1:
+
+     QCHECK_LONG=1 dune exec test/test_main.exe -- test dag_eval_adversarial *)
 
 module Value = Rxv_relational.Value
 module Tree = Rxv_xml.Tree
@@ -127,7 +133,8 @@ let arrivals_match =
 (* side-effect soundness on adversarial shapes: a clean verdict must mean
    occurrence-local deletion = DAG deletion *)
 let side_effects_sound =
-  Helpers.qtest ~count:300 "adversarial DAGs: clean verdicts are sound"
+  Helpers.qtest ~count:300 ~long_factor:100
+    "adversarial DAGs: clean verdicts are sound"
     case_gen print_case
     (fun (params, p) ->
       let store = build_store params in
@@ -174,7 +181,8 @@ let side_effects_sound =
    marker child at the selected occurrences only equals the DAG-semantics
    append (one edge per selected node) *)
 let insert_side_effects_sound =
-  Helpers.qtest ~count:300 "adversarial DAGs: clean insert verdicts sound"
+  Helpers.qtest ~count:300 ~long_factor:100
+    "adversarial DAGs: clean insert verdicts sound"
     case_gen print_case
     (fun (params, p) ->
       let store = build_store params in

@@ -126,12 +126,30 @@ let publish (atg : Atg.t) (db : Database.t) : Store.t =
   check_acyclic store;
   store
 
+(** Undo a subtree expansion: new nodes only ever connect to new parents
+    (pre-existing nodes are never re-expanded) or to the pending connect
+    edges, which are not in the store yet — so removing the new nodes'
+    incident edges then the nodes restores the previous state. *)
+let rollback_subtree (store : Store.t) ~(new_nodes : int list) =
+  List.iter
+    (fun id ->
+      List.iter (fun c -> ignore (Store.remove_edge store id c)) (Store.children store id);
+      List.iter (fun p -> ignore (Store.remove_edge store p id)) (Store.parents store id))
+    new_nodes;
+  List.iter (fun id -> Store.remove_node store id) new_nodes
+
 (** [publish_subtree atg db store (a, t)] expands ST(a, t) *inside* an
     existing store — the step Xinsert (Fig. 5, line 2) delegates to "the
     algorithm of [8]". Returns the subtree root id, all subtree node ids
     (NA), and the subset that did not exist before. The store is assumed
     fully expanded for pre-existing nodes, so expansion stops at shared
-    boundaries. *)
+    boundaries.
+
+    Base data may hold a reference cycle that the view does not reach
+    (base updates reject only the cycles the view would contain). If
+    ST(a, t) runs into one, the subtree is infinite: the expansion is
+    undone and {!Cyclic_view} raised. Such a cycle runs through new nodes
+    only, since pre-existing nodes are acyclic and keep their children. *)
 let publish_subtree (atg : Atg.t) (db : Database.t) (store : Store.t)
     (etype : string) (attr : Tuple.t) : int * int list * int list =
   if not (Dtd.mem atg.Atg.dtd etype) then
@@ -151,15 +169,31 @@ let publish_subtree (atg : Atg.t) (db : Database.t) (store : Store.t)
      nothing below it needs expanding) *)
   expand_from atg (star_eval db) store expanded [ root_id ]
     ~is_expanded:(fun id -> id < first_new_id);
-  (* collect NA = desc-or-self of the subtree root *)
+  (* collect NA = desc-or-self of the subtree root; a new node met
+     again while its own descendants are being visited closes a cycle *)
   let na = Hashtbl.create 64 in
+  let on_path = Hashtbl.create 8 in
+  let cyclic = ref false in
   let rec go id =
-    if not (Hashtbl.mem na id) then begin
+    if Hashtbl.mem na id then begin
+      if Hashtbl.mem on_path id then cyclic := true
+    end
+    else begin
       Hashtbl.replace na id ();
-      List.iter go (Store.children store id)
+      let fresh = id >= first_new_id in
+      if fresh then Hashtbl.replace on_path id ();
+      List.iter go (Store.children store id);
+      if fresh then Hashtbl.remove on_path id
     end
   in
   go root_id;
   let na_list = Hashtbl.fold (fun id () acc -> id :: acc) na [] in
   let new_nodes = List.filter (fun id -> id >= first_new_id) na_list in
+  if !cyclic then begin
+    rollback_subtree store ~new_nodes;
+    raise
+      (Cyclic_view
+         (Fmt.str "the data below %s element %a is cyclic" etype Tuple.pp
+            attr))
+  end;
   (root_id, na_list, new_nodes)

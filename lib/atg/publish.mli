@@ -23,4 +23,11 @@ val publish_subtree :
     store — the step Xinsert delegates to the publishing algorithm (Fig. 5
     line 2). Returns (subtree root id, all subtree node ids NA, the newly
     created subset). Expansion stops at pre-existing (already expanded)
-    nodes. @raise Atg.Atg_error on unknown types or ill-typed attributes. *)
+    nodes. @raise Atg.Atg_error on unknown types or ill-typed attributes.
+    @raise Cyclic_view when the data below (a, t) holds a reference cycle
+    (possible for data the view did not reach); the expansion is undone
+    first. *)
+
+val rollback_subtree : Store.t -> new_nodes:int list -> unit
+(** undo a subtree expansion (new nodes only connect to new parents or to
+    pending connect edges, so this restores the previous store) *)

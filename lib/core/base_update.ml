@@ -107,11 +107,18 @@ let affected_params (db : Database.t) (schema : Schema.db) (atg : Atg.t)
 
 exception Would_cycle
 
+(* What the repairs of one ΔR changed, for [Eval_cache.invalidate]: the
+   nodes whose DP rows may differ (their ancestors follow from M), and
+   the slots the cascades freed. *)
+type dirt = { mutable touched : int list; mutable freed : int list }
+
 (* Re-evaluate [parent]'s star rule and reconcile the store's edges.
-   [plans] memoizes compiled rule plans across the parents of one ΔR. *)
+   [plans] memoizes compiled rule plans across the parents of one ΔR;
+   [dirt] collects the parent if its children list changed, plus what
+   Δ(M,L)insert/delete touched and freed. *)
 let reconcile_parent (atg : Atg.t) (db : Database.t) (store : Store.t)
     (l : Topo.t) (m : Reach.t) ~(plans : (string, Eval.plan) Hashtbl.t)
-    (b_type : string) (sr : Atg.star_rule) (parent : int) =
+    ~(dirt : dirt) (b_type : string) (sr : Atg.star_rule) (parent : int) =
   let pattr = (Store.node store parent).Store.attr in
   let plan =
     let qname = sr.Atg.query.Spj.qname in
@@ -147,7 +154,9 @@ let reconcile_parent (atg : Atg.t) (db : Database.t) (store : Store.t)
         ignore (Store.remove_edge store parent c);
         incr removed;
         let st = Maintain.on_delete store l m ~targets:[ c ] in
-        deleted_nodes := !deleted_nodes + List.length st.Maintain.deleted_nodes
+        deleted_nodes := !deleted_nodes + List.length st.Maintain.deleted_nodes;
+        dirt.touched <- List.rev_append st.Maintain.touched dirt.touched;
+        dirt.freed <- List.rev_append st.Maintain.deleted_slots dirt.freed
       end)
     current;
   (* additions and provenance refresh *)
@@ -160,7 +169,9 @@ let reconcile_parent (atg : Atg.t) (db : Database.t) (store : Store.t)
       | existing -> (
           (* new child: expand its subtree, then link *)
           let root_id, subtree_nodes, new_nodes =
-            Publish.publish_subtree atg db store b_type battr
+            match Publish.publish_subtree atg db store b_type battr with
+            | r -> r
+            | exception Publish.Cyclic_view _ -> raise Would_cycle
           in
           (* cycle guard: the child's subtree must not reach the parent *)
           let reaches_parent =
@@ -170,17 +181,22 @@ let reconcile_parent (atg : Atg.t) (db : Database.t) (store : Store.t)
             || (match existing with Some c -> c = parent | None -> false)
           in
           if reaches_parent then begin
-            Xupdate.rollback_subtree store ~new_nodes;
+            Publish.rollback_subtree store ~new_nodes;
             raise Would_cycle
           end;
           List.iter
             (fun row -> Store.add_edge store parent root_id ~provenance:(Some row))
             (List.rev rows);
           incr added;
-          ignore
-            (Maintain.on_insert store l m ~targets:[ parent ] ~root_id
-               ~new_nodes)))
+          dirt.touched <-
+            List.rev_append
+              (Maintain.on_insert store l m ~targets:[ parent ] ~root_id
+                 ~new_nodes)
+              dirt.touched))
     desired;
+  (* on_insert's touched list holds the parent already; a removal alone
+     does not *)
+  if !removed > 0 then dirt.touched <- parent :: dirt.touched;
   (!added, !removed, !deleted_nodes)
 
 (** [apply engine delta_r] applies ΔR to the database and incrementally
@@ -269,11 +285,14 @@ let apply (e : Engine.t) (delta_r : Group_update.t) : (report, string) result
     !impacts;
   let added = ref 0 and removed = ref 0 and deleted = ref 0 in
   let plans = Hashtbl.create 8 in
+  let dirt = { touched = []; freed = [] } in
   match
     List.iter
       (fun (b_type, sr, pid) ->
         if Store.mem_node store pid then begin
-          let a, r, d = reconcile_parent atg db store l m ~plans b_type sr pid in
+          let a, r, d =
+            reconcile_parent atg db store l m ~plans ~dirt b_type sr pid
+          in
           added := !added + a;
           removed := !removed + r;
           deleted := !deleted + d
@@ -282,11 +301,10 @@ let apply (e : Engine.t) (delta_r : Group_update.t) : (report, string) result
   with
   | () ->
       (* the repairs above went through Maintain directly, not through
-         Engine.apply, so the query cache saw none of them: dirty
-         everything (base updates are rare and batch-sized — precision
-         is not worth threading every touched set out of reconcile) *)
-      Eval_cache.invalidate_all e.Engine.cache
-        ~slot_capacity:(Store.slot_capacity store);
+         Engine.apply: dirty the rows they changed, as Engine.apply
+         does, so that the next read recomputes only those *)
+      Eval_cache.invalidate e.Engine.cache ~store ~reach:m
+        ~touched:dirt.touched ~freed_slots:dirt.freed;
       (* direct base updates are durable too: log the committed ΔR, like
          Engine.apply does for view updates (never inside an open
          transaction frame — the enclosing commit logs the whole group) *)
@@ -312,7 +330,8 @@ let apply (e : Engine.t) (delta_r : Group_update.t) : (report, string) result
       List.iter
         (fun (b_type, sr, pid) ->
           if Store.mem_node store pid then
-            ignore (reconcile_parent atg db store l m ~plans b_type sr pid))
+            ignore
+              (reconcile_parent atg db store l m ~plans ~dirt b_type sr pid))
         !work;
       ignore (Maintain.collect_garbage store l m);
       (* the store was mutated and restored by re-reconciliation, and the

@@ -74,6 +74,7 @@ type src = {
   s_root : unit -> int;
   s_iter_topo : (int -> unit) -> unit;  (** forward L order: leaves first *)
   s_slot_of : int -> int;
+  s_id_of_slot : int -> int option;
   s_anc_intersects : int -> Bitset.t -> bool;  (** by node id *)
   s_union_row_into : int -> dst:Bitset.t -> unit;  (** by node id *)
 }
@@ -86,6 +87,7 @@ let live_src (store : Store.t) (l : Topo.t) (m : Reach.t) : src =
     s_root = (fun () -> Store.root store);
     s_iter_topo = (fun f -> Topo.iter f l);
     s_slot_of = (fun id -> Reach.slot_of m id);
+    s_id_of_slot = (fun slot -> Store.id_of_slot store slot);
     s_anc_intersects = (fun id bits -> Reach.anc_intersects m id bits);
     s_union_row_into = (fun id ~dst -> Reach.union_row_into m id ~dst);
   }
@@ -99,15 +101,22 @@ let view_src (sv : Store.view) (tv : Topo.view) (rv : Reach.view) : src =
     s_root = (fun () -> Store.view_root sv);
     s_iter_topo = (fun f -> Topo.view_iter f tv);
     s_slot_of = slot_of;
+    s_id_of_slot = (fun slot -> Store.view_id_of_slot sv slot);
     s_anc_intersects =
       (fun id bits -> Reach.view_anc_intersects rv (slot_of id) bits);
     s_union_row_into =
       (fun id ~dst -> Reach.view_union_row_into rv (slot_of id) ~dst);
   }
 
-(* ---- text equality via length DP ---- *)
+(* ---- text equality via length DP ----
 
-let rec text_len src lens id =
+   Lengths saturate at [cap] + 1, where [cap] is the longest string the
+   plan compares with: a comparison needs the exact length only up to
+   there, so a node's sum over its children stops as soon as it passes
+   [cap], and a node with many children (the root) costs O(cap) lookups
+   rather than one per child. *)
+
+let rec text_len src lens ~cap id =
   match Hashtbl.find_opt lens id with
   | Some l -> l
   | None ->
@@ -115,16 +124,17 @@ let rec text_len src lens id =
       let own =
         match n.Store.text with Some s -> String.length s | None -> 0
       in
-      let l =
-        List.fold_left
-          (fun acc c -> acc + text_len src lens c)
-          own (src.s_children id)
-      in
+      let l = sum_text_lens src lens ~cap own (src.s_children id) in
       Hashtbl.replace lens id l;
       l
 
-let text_eq src lens id s =
-  if text_len src lens id <> String.length s then false
+and sum_text_lens src lens ~cap acc = function
+  | c :: rest when acc <= cap ->
+      sum_text_lens src lens ~cap (acc + text_len src lens ~cap c) rest
+  | _ -> min acc (cap + 1)
+
+let text_eq src lens ~cap id s =
+  if text_len src lens ~cap id <> String.length s then false
   else begin
     let buf = Buffer.create (String.length s) in
     let rec go id =
@@ -142,12 +152,15 @@ let text_eq src lens id s =
 
 (* sat.(k).(i) : per path-filter k and suffix start i, a bitset over node
    slots; bit set ⟺ steps i..n of filter k are satisfiable at the node.
-   lens memoizes the text-length DP keyed by node id; entries for nodes
-   whose subtree text may have changed must be dropped before
-   [revalidate_src] (pure recomputation repopulates them on demand). *)
+   lens memoizes the text-length DP keyed by node id, saturated at
+   len_cap + 1 (len_cap: the plan's longest comparison string).
+   [revalidate_src] forgets the length of each row it recomputes, just
+   before recomputing it, since the node's subtree text may have
+   changed; pure recomputation repopulates it on demand. *)
 type tables = {
   sat : Bitset.t array array;
   lens : (int, int) Hashtbl.t;
+  len_cap : int;
 }
 
 let create_tables (p : Plan.t) =
@@ -160,6 +173,13 @@ let create_tables (p : Plan.t) =
             (fun _ -> Bitset.create ()))
         p.Plan.pfilters;
     lens = Hashtbl.create 256;
+    len_cap =
+      Array.fold_left
+        (fun acc pf ->
+          match pf.Plan.target with
+          | Plan.T_text_eq s -> max acc (String.length s)
+          | Plan.T_exists -> acc)
+        0 p.Plan.pfilters;
   }
 
 let drop_text_len tb id = Hashtbl.remove tb.lens id
@@ -189,7 +209,7 @@ let recompute_node (p : Plan.t) (tb : tables) src v slot kids =
           if i = nsteps then
             match pf.Plan.target with
             | Plan.T_exists -> true
-            | Plan.T_text_eq s -> text_eq src tb.lens v s
+            | Plan.T_text_eq s -> text_eq src tb.lens ~cap:tb.len_cap v s
           else
             match steps.(i) with
             | Plan.S_filter q ->
@@ -225,18 +245,41 @@ let bottom_up_src (src : src) (p : Plan.t) (tb : tables) : unit =
       let n = src.s_node v in
       recompute_node p tb src v n.Store.slot (src.s_children v))
 
-(* Recompute only the rows whose slot is in [dirty]. L is leaves-first,
-   so by the time a dirty node is recomputed every child's row — clean,
-   or dirty and already recomputed — is valid. Rows of clean nodes are
-   untouched: the dirty set must contain every node whose sat value can
-   have changed (the changed nodes and all their ancestors — a node's
-   value depends only on its descendants). *)
+(* Recompute only the rows whose slot is in [dirty], by a post-order
+   walk over children restricted to the dirty set: a dirty node is
+   recomputed after its dirty children, and its clean children's rows are
+   valid as they stand. Rows of clean nodes are untouched: the dirty set
+   must contain every node whose sat value can have changed (the changed
+   nodes and all their ancestors — a node's value depends only on its
+   descendants). A dirty slot with no occupant (freed, not yet reused)
+   has no row to recompute. A dirty node's text length is forgotten
+   before its row is recomputed: its dirty descendants have been
+   re-measured by then, and a clean node's subtree text is unchanged.
+   Returns the number of rows recomputed. *)
 let revalidate_src (src : src) (p : Plan.t) (tb : tables)
-    ~(dirty : Bitset.t) : unit =
-  src.s_iter_topo (fun v ->
-      let n = src.s_node v in
-      if Bitset.get dirty n.Store.slot then
-        recompute_node p tb src v n.Store.slot (src.s_children v))
+    ~(dirty : Bitset.t) : int =
+  let done_ = Bitset.create () in
+  let rows = ref 0 in
+  let rec visit v slot =
+    Bitset.set done_ slot;
+    let kids = src.s_children v in
+    visit_dirty kids;
+    Hashtbl.remove tb.lens v;
+    recompute_node p tb src v slot kids;
+    incr rows
+  and visit_dirty = function
+    | [] -> ()
+    | u :: rest ->
+        let su = (src.s_node u).Store.slot in
+        if Bitset.get dirty su && not (Bitset.get done_ su) then visit u su;
+        visit_dirty rest
+  in
+  Bitset.iter_bits dirty (fun slot ->
+      if not (Bitset.get done_ slot) then
+        match src.s_id_of_slot slot with
+        | Some v -> visit v slot
+        | None -> ());
+  !rows
 
 (* ---- top-down pass ---- *)
 

@@ -8,7 +8,8 @@
     edges Ep(r) and the side-effect set S.
 
     Value filters (p = "s") compare XPath string values via a text-length
-    DP with on-demand bounded materialization, avoiding quadratic text
+    DP (lengths saturate just above the plan's longest comparison string)
+    with on-demand bounded materialization, avoiding quadratic text
     concatenation.
 
     The side-effect check is edge-granular and conservative: it may
@@ -74,9 +75,8 @@ val eval_plan_src : src -> Plan.t -> result
     [tables] holds a plan's bottom-up state: the per-(filter, suffix)
     satisfiability bitsets over node slots, plus the memoized text-length
     DP. Fill with {!bottom_up_src}, answer with {!top_down_src}; after an
-    update, drop the text lengths of touched nodes ({!drop_text_len}) and
-    repair the rows of changed nodes and their ancestors with
-    {!revalidate_src}. *)
+    update, repair the rows of changed nodes and their ancestors, text
+    lengths included, with {!revalidate_src}. *)
 
 type tables
 
@@ -86,18 +86,22 @@ val create_tables : Plan.t -> tables
 val bottom_up_src : src -> Plan.t -> tables -> unit
 (** full DP fill over L (leaves first) *)
 
-val revalidate_src : src -> Plan.t -> tables -> dirty:Rxv_dag.Bitset.t -> unit
-(** recompute only the rows whose slot is set in [dirty], in L order.
-    Sound iff [dirty] covers every node whose sat value may have changed:
-    the updated nodes and all their ancestors (a node's row depends only
-    on its descendants), plus any slot whose occupant was removed. *)
+val revalidate_src : src -> Plan.t -> tables -> dirty:Rxv_dag.Bitset.t -> int
+(** recompute only the rows whose slot is set in [dirty], children before
+    parents, in time proportional to the dirty rows and their edges (L is
+    not scanned); returns how many rows it recomputed. Sound iff [dirty]
+    covers every node whose sat value may have changed: the updated nodes
+    and all their ancestors (a node's row depends only on its
+    descendants), plus any slot whose occupant was removed. Each
+    recomputed row's text length is measured again. *)
 
 val top_down_src : src -> Plan.t -> tables -> result
 (** the top-down refinement, reading filled (or revalidated) tables *)
 
 val drop_text_len : tables -> int -> unit
-(** forget the memoized text length of one node (by id); call for every
-    node whose subtree text may have changed before {!revalidate_src} *)
+(** forget the memoized text length of one node (by id), e.g. of a
+    deleted node, whose entry no revalidation would free *)
 
 val reset_text_len : tables -> unit
-(** forget all memoized text lengths *)
+(** forget all memoized text lengths, e.g. when the ids may now name
+    other nodes *)

@@ -288,7 +288,7 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
                   ~cache:e.sat
               with
               | Vinsert.Rejected msg ->
-                  Xupdate.rollback_subtree e.store
+                  Publish.rollback_subtree e.store
                     ~new_nodes:tr.Xupdate.new_nodes;
                   Error (Untranslatable msg)
               | Vinsert.Translated
@@ -303,7 +303,7 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
                   } -> (
                   match Group_update.apply e.db delta_r with
                   | exception Group_update.Apply_error msg ->
-                      Xupdate.rollback_subtree e.store
+                      Publish.rollback_subtree e.store
                         ~new_nodes:tr.Xupdate.new_nodes;
                       Error (Untranslatable msg)
                   | () ->

@@ -36,8 +36,10 @@
       nodes are in the next update's touched set anyway.
 
     The text-length memo needs no journaling: it is a pure function of
-    the current store, entries for touched ids are dropped eagerly, and
-    bypassed queries never populate it with rollback-able ids. *)
+    the current store, revalidation re-measures every row it recomputes,
+    entries for touched ids (deleted nodes among them) are dropped
+    eagerly, and bypassed queries never populate it with rollback-able
+    ids. *)
 
 module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
@@ -53,6 +55,7 @@ type counters = {
   partials : int;
   evictions : int;
   invalidations : int;
+  recomputed_rows : int;
 }
 
 type entry = {
@@ -75,6 +78,7 @@ type t = {
   mutable c_partials : int;
   mutable c_evictions : int;
   mutable c_invalidations : int;
+  mutable c_recomputed_rows : int;
   journal : Journal.t;
   (* per-frame set of entry keys whose dirty bitset was already
      copy-on-written in that frame — same discipline as Reach *)
@@ -102,6 +106,7 @@ let create ?(cap = default_cap) () =
     c_partials = 0;
     c_evictions = 0;
     c_invalidations = 0;
+    c_recomputed_rows = 0;
     journal = Journal.create ();
     touched = [];
     frame_clean = false;
@@ -118,6 +123,7 @@ let counters t =
     partials = t.c_partials;
     evictions = t.c_evictions;
     invalidations = t.c_invalidations;
+    recomputed_rows = t.c_recomputed_rows;
   }
 
 let with_lock t f =
@@ -296,7 +302,9 @@ let run_query t (src : Dag_eval.src) ~pin path =
             end
             else begin
               t.c_partials <- t.c_partials + 1;
-              Dag_eval.revalidate_src src e.plan e.tables ~dirty:e.dirty;
+              t.c_recomputed_rows <-
+                t.c_recomputed_rows
+                + Dag_eval.revalidate_src src e.plan e.tables ~dirty:e.dirty;
               e.dirty <- Bitset.create ();
               let r = Dag_eval.top_down_src src e.plan e.tables in
               e.result <- r;

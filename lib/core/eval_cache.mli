@@ -43,6 +43,7 @@ type counters = {
   partials : int;  (** partial revalidations: dirty rows + top-down *)
   evictions : int;  (** LRU entry drops *)
   invalidations : int;  (** generation bumps (mutations seen) *)
+  recomputed_rows : int;  (** rows recomputed by partial revalidations *)
 }
 
 val create : ?cap:int -> unit -> t
@@ -74,8 +75,12 @@ val invalidate :
     [touched] contribute no row but still flush the text-length memo. *)
 
 val invalidate_all : t -> slot_capacity:int -> unit
-(** conservative variant for bulk rebuilds (base-relation updates):
-    dirty every slot in [0, slot_capacity) and flush all text memos *)
+(** conservative variant for when the touched set is unknown: dirty every
+    slot in [0, slot_capacity) and flush all text memos. Only two paths
+    need it: [Engine.reset_from], which installs a whole new state, and
+    a base update rolled back for forming a cycle, whose repair runs the
+    garbage collector. The next read of each entry then recomputes every
+    row. *)
 
 val begin_ : t -> unit
 (** open a (possibly nested) transaction frame *)

@@ -46,18 +46,6 @@ type insert_translation = {
           rules against I) and are already in the store. *)
 }
 
-(** Undo a subtree expansion: new nodes only ever connect to new parents
-    (pre-existing nodes are never re-expanded) or to the pending connect
-    edges, which are not in the store yet — so removing the new nodes'
-    incident edges then the nodes restores the previous state. *)
-let rollback_subtree (store : Store.t) ~(new_nodes : int list) =
-  List.iter
-    (fun id ->
-      List.iter (fun c -> ignore (Store.remove_edge store id c)) (Store.children store id);
-      List.iter (fun p -> ignore (Store.remove_edge store p id)) (Store.parents store id))
-    new_nodes;
-  List.iter (fun id -> Store.remove_node store id) new_nodes
-
 (** Algorithm Xinsert: expand ST(A, t) inside the store (Fig. 5, lines
     2-5) and compute the connection edges towards r[[p]] (lines 6-7).
     [selected] must be the evaluator's r[[p]].
@@ -78,7 +66,10 @@ let xinsert (atg : Atg.t) db (store : Store.t)
           reject "cannot insert a %s element under a %s element" etype ut)
     selected;
   let subtree_root, subtree_nodes, new_nodes =
-    Publish.publish_subtree atg db store etype attr
+    match Publish.publish_subtree atg db store etype attr with
+    | r -> r
+    | exception Publish.Cyclic_view msg ->
+        reject "insertion would create a cycle (%s)" msg
   in
   let cyclic =
     List.exists
@@ -86,7 +77,7 @@ let xinsert (atg : Atg.t) db (store : Store.t)
       subtree_nodes
   in
   if cyclic then begin
-    rollback_subtree store ~new_nodes;
+    Publish.rollback_subtree store ~new_nodes;
     reject "insertion would create a cycle (ST(%s, t) reaches a target)"
       etype
   end;

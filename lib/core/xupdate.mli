@@ -29,10 +29,6 @@ type insert_translation = {
           base data and already in the store *)
 }
 
-val rollback_subtree : Store.t -> new_nodes:int list -> unit
-(** undo a subtree expansion (new nodes only connect to new parents or to
-    pending connect edges, so this restores the previous store) *)
-
 val xinsert :
   Atg.t ->
   Rxv_relational.Database.t ->

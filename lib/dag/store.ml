@@ -75,6 +75,7 @@ type t = {
       (** persistent image of [nodes] as of the last {!freeze} *)
   mutable c_children : int list Imap.t;
   mutable c_parents : int list Imap.t;
+  mutable c_slots : int Imap.t;  (** slot -> node id, as of the last freeze *)
   dirty : (int, unit) Hashtbl.t;
       (** node ids whose record/adjacency possibly changed since the last
           {!freeze}; a superset is harmless *)
@@ -102,6 +103,7 @@ let create () =
     c_nodes = Imap.empty;
     c_children = Imap.empty;
     c_parents = Imap.empty;
+    c_slots = Imap.empty;
     dirty = Hashtbl.create 1024;
   }
 
@@ -517,26 +519,37 @@ let occurrence_counts t =
 
 (** {2 Frozen views (MVCC snapshot reads)}
 
-    A view is an immutable image of the node table, adjacency, and root
-    over persistent maps. Freezing patches the previous image with the
-    entries of every node id touched since the last freeze, so the cost
-    is O(touched · log n) and untouched structure (including the node
-    records and children lists themselves) is shared with the live
-    store and all earlier views. *)
+    A view is an immutable image of the node table, the slot → id map,
+    adjacency, and root over persistent maps. Freezing patches the
+    previous image with the entries of every node id touched since the
+    last freeze, so the cost is O(touched · log n) and untouched
+    structure (including the node records and children lists themselves)
+    is shared with the live store and all earlier views. *)
 
 type view = {
   v_nodes : node Imap.t;
   v_children : int list Imap.t;
   v_parents : int list Imap.t;
+  v_slots : int Imap.t;
   v_root : int;
   v_n_edges : int;
 }
 
 let freeze t =
+  (* unmap the slot [id] held at the last freeze, unless a node created
+     since has already claimed it (dirty ids are visited in any order) *)
+  let release_slot id =
+    match Imap.find_opt id t.c_nodes with
+    | Some old when Imap.find_opt old.slot t.c_slots = Some id ->
+        t.c_slots <- Imap.remove old.slot t.c_slots
+    | Some _ | None -> ()
+  in
   Hashtbl.iter
     (fun id () ->
       match Hashtbl.find_opt t.nodes id with
       | Some n ->
+          release_slot id;
+          t.c_slots <- Imap.add n.slot id t.c_slots;
           t.c_nodes <- Imap.add id n t.c_nodes;
           (match Hashtbl.find_opt t.children id with
           | Some l when !l <> [] -> t.c_children <- Imap.add id !l t.c_children
@@ -549,6 +562,7 @@ let freeze t =
                   t.c_parents
           | Some _ | None -> t.c_parents <- Imap.remove id t.c_parents)
       | None ->
+          release_slot id;
           t.c_nodes <- Imap.remove id t.c_nodes;
           t.c_children <- Imap.remove id t.c_children;
           t.c_parents <- Imap.remove id t.c_parents)
@@ -558,6 +572,7 @@ let freeze t =
     v_nodes = t.c_nodes;
     v_children = t.c_children;
     v_parents = t.c_parents;
+    v_slots = t.c_slots;
     v_root = t.root;
     v_n_edges = Hashtbl.length t.edges;
   }
@@ -566,6 +581,8 @@ let view_node v id =
   match Imap.find_opt id v.v_nodes with
   | Some n -> n
   | None -> dag_error "view: unknown node id %d" id
+
+let view_id_of_slot v slot = Imap.find_opt slot v.v_slots
 
 let view_children v id =
   Option.value ~default:[] (Imap.find_opt id v.v_children)
@@ -674,6 +691,7 @@ let of_persisted (p : persisted) =
       c_nodes = Imap.empty;
       c_children = Imap.empty;
       c_parents = Imap.empty;
+      c_slots = Imap.empty;
       dirty = Hashtbl.create n_nodes;
     }
   in
@@ -796,5 +814,6 @@ let copy t =
     c_nodes = Imap.empty;
     c_children = Imap.empty;
     c_parents = Imap.empty;
+    c_slots = Imap.empty;
     dirty;
   }

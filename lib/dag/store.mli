@@ -138,12 +138,12 @@ val copy : t -> t
 
 (** {2 Frozen views}
 
-    A {!view} is an immutable image of the node table, adjacency, and
-    root. Freezing costs O(ids touched since the last freeze); node
-    records and children lists are shared with the live store, never
-    copied, so a view stays valid (and cheap) while the store keeps
-    mutating. Capture with no transaction frame open to get committed
-    state. *)
+    A {!view} is an immutable image of the node table, the slot → id
+    map, adjacency, and root. Freezing costs O(ids touched since the
+    last freeze); node records and children lists are shared with the
+    live store, never copied, so a view stays valid (and cheap) while
+    the store keeps mutating. Capture with no transaction frame open to
+    get committed state. *)
 
 type view
 
@@ -151,6 +151,9 @@ val freeze : t -> view
 
 val view_node : view -> int -> node
 (** @raise Dag_error for ids unknown to the view. *)
+
+val view_id_of_slot : view -> int -> int option
+(** {!id_of_slot} as of the freeze *)
 
 val view_children : view -> int -> int list
 (** ordered (document order) *)

@@ -101,6 +101,46 @@ let test_cyclic_base_update_rejected () =
       assert_consistent e
   | Ok _ -> Alcotest.fail "cyclic base update accepted"
 
+(* Data may hold a reference cycle outside the view: base updates only
+   reject cycles the view would contain. Linking such a cycle into the
+   view, by a base update or a view insertion, must be rejected too: the
+   expanded subtree would be infinite even though it never reaches the
+   node it hangs from. *)
+let test_latent_cycle_rejected () =
+  let e = Registrar.engine () in
+  let course cno = [| s cno; s ("Math " ^ cno); s "MA" |] in
+  ignore
+    (apply_ok e
+       [
+         Group_update.Insert ("course", course "MA200");
+         Group_update.Insert ("course", course "MA201");
+         Group_update.Insert ("prereq", [| s "MA200"; s "MA201" |]);
+         Group_update.Insert ("prereq", [| s "MA201"; s "MA200" |]);
+       ]);
+  assert_consistent e;
+  (match
+     Base_update.apply e
+       [ Group_update.Insert ("prereq", [| s "CS650"; s "MA200" |]) ]
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "base update linking a cycle accepted");
+  check "prereq row rolled back" false
+    (Rxv_relational.Database.mem_key e.Engine.db "prereq"
+       [ s "CS650"; s "MA200" ]);
+  assert_consistent e;
+  (match
+     Engine.apply e
+       (Rxv_core.Xupdate.Insert
+          {
+            etype = "course";
+            attr = Registrar.course_attr "MA200" "Math MA200";
+            path = Rxv_xpath.Parser.parse "course[cno=CS650]/prereq";
+          })
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "view insertion linking a cycle accepted");
+  assert_consistent e
+
 (* random base updates on synthetic data: consistency must hold after
    every group *)
 let random_base_updates =
@@ -262,6 +302,8 @@ let tests =
     Alcotest.test_case "mixed group" `Quick test_mixed_group;
     Alcotest.test_case "cyclic base update rejected" `Quick
       test_cyclic_base_update_rejected;
+    Alcotest.test_case "cycle outside the view stays out" `Quick
+      test_latent_cycle_rejected;
     random_base_updates;
     Alcotest.test_case "interleaved view/base updates" `Quick
       test_interleaved;

@@ -1,8 +1,10 @@
 (* Compiled XPath plans and the generation-keyed result cache: canonical
    plan keys, counter semantics, transactional invalidation, LRU bounds,
-   and the central equivalence property — cached evaluation must be
-   indistinguishable from a fresh Dag_eval.eval under arbitrary
-   interleavings of updates, queries, and aborted transactions. *)
+   the rows a read recomputes after a base update, and the central
+   equivalence property — cached evaluation, live or through a snapshot,
+   must be indistinguishable from a fresh Dag_eval.eval under arbitrary
+   interleavings of view updates, base updates, queries, and aborted
+   transactions. *)
 
 module Ast = Rxv_xpath.Ast
 module Normal = Rxv_xpath.Normal
@@ -13,6 +15,11 @@ module Engine = Rxv_core.Engine
 module Dag_eval = Rxv_core.Dag_eval
 module Eval_cache = Rxv_core.Eval_cache
 module Xupdate = Rxv_core.Xupdate
+module Base_update = Rxv_core.Base_update
+module Value = Rxv_relational.Value
+module Database = Rxv_relational.Database
+module Relation = Rxv_relational.Relation
+module Group_update = Rxv_relational.Group_update
 module Synth = Rxv_workload.Synth
 module Updates = Rxv_workload.Updates
 module Registrar = Rxv_workload.Registrar
@@ -155,19 +162,146 @@ let test_lru_eviction () =
   let cnt3 = Eval_cache.counters c in
   Alcotest.(check int) "victim misses again" 4 cnt3.Eval_cache.misses
 
+(* ---- rows recomputed after a base update ---- *)
+
+let h_tuples db =
+  List.sort compare (Relation.to_list (Database.relation db "H"))
+
+let h_key (t : Rxv_relational.Tuple.t) = [ t.(0); t.(1) ]
+
+(* One leaf-H delete, as replica_apply's batches make them, must leave a
+   read a few dirty rows, not all of L: Base_update dirties what its
+   repairs touched, and revalidation visits only dirty rows. Checked on
+   the live read path and on the snapshot read path. *)
+let test_base_update_recomputes_few_rows () =
+  let d = Synth.generate (Synth.default_params ~seed:3 1000) in
+  let e = Engine.create (Synth.atg ()) d.Synth.db in
+  let live_path = parse "//c/sub/c" and snap_path = parse "//c[cid=7]" in
+  ignore (Engine.query e live_path);
+  ignore (Engine.Snapshot.query (Engine.Snapshot.capture e) snap_path);
+  (* an H tuple whose child key has none of its own: deleting it unlinks
+     one leaf c *)
+  let h = Database.relation e.Engine.db "H" in
+  let leaf =
+    match
+      List.find_opt
+        (fun t -> Relation.select_eq h 0 t.(1) = [])
+        (h_tuples e.Engine.db)
+    with
+    | Some t -> t
+    | None -> Alcotest.fail "no leaf H tuple"
+  in
+  (match Base_update.apply e [ Group_update.Delete ("H", h_key leaf) ] with
+  | Ok r ->
+      check "the delete repaired a parent" true
+        (r.Base_update.affected_parents > 0)
+  | Error m -> Alcotest.failf "base update failed: %s" m);
+  let rows = Store.n_nodes e.Engine.store in
+  let recomputed read =
+    let count () =
+      (Eval_cache.counters e.Engine.cache).Eval_cache.recomputed_rows
+    in
+    let before = count () in
+    let r = read () in
+    (r, count () - before)
+  in
+  let check_read name path read =
+    let r, n = recomputed read in
+    check (name ^ " ≡ fresh") true (norm r = norm (fresh_eval e path));
+    if n = 0 || 20 * n >= rows then
+      Alcotest.failf "%s recomputed %d of %d rows (want 1 to <5%%)" name n
+        rows
+  in
+  check_read "live read" live_path (fun () -> Engine.query e live_path);
+  let snap = Engine.Snapshot.capture e in
+  check_read "snapshot read" snap_path (fun () ->
+      Engine.Snapshot.query snap snap_path)
+
+(* ---- string values after an update ---- *)
+
+(* the XPath string value: the node's own text, then its children's, in
+   document order *)
+let rec string_value store id =
+  Option.value ~default:"" (Store.node store id).Store.text
+  ^ String.concat "" (List.map (string_value store) (Store.children store id))
+
+(* A text comparison reads the length of the node's whole subtree text,
+   so an update below a node changes what the comparison sees there, on
+   every ancestor of the touched nodes. A twin engine applies the update
+   first to learn the course's new string value; the cached read after
+   the update must select that course, as a fresh one does. *)
+let test_text_eq_sees_new_string_values () =
+  let view_insert e =
+    match
+      Engine.apply e
+        (Xupdate.Insert
+           {
+             etype = "course";
+             attr = Registrar.course_attr "CS210" "Systems";
+             path = parse "course[cno=CS650]/prereq";
+           })
+    with
+    | Ok _ -> ()
+    | Error rej -> Alcotest.failf "insert rejected: %a" Engine.pp_rejection rej
+  in
+  let base_insert e =
+    match
+      Base_update.apply e
+        [
+          Group_update.Insert
+            ("prereq", [| Value.str "CS240"; Value.str "CS120" |]);
+        ]
+    with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "base update failed: %s" m
+  in
+  List.iter
+    (fun (name, cno, update) ->
+      let twin = Registrar.engine () in
+      update twin;
+      let course =
+        match
+          (fresh_eval twin (parse ("course[cno=" ^ cno ^ "]"))).Dag_eval.selected
+        with
+        | [ id ] -> id
+        | _ -> Alcotest.failf "%s: no single course %s" name cno
+      in
+      let p =
+        Ast.Seq
+          ( Ast.Desc_or_self,
+            Ast.Where
+              ( Ast.Label "course",
+                Ast.Eq (Ast.Self, string_value twin.Engine.store course) ) )
+      in
+      let e = Registrar.engine () in
+      ignore (Engine.query e p);
+      update e;
+      check (name ^ ": cached ≡ fresh") true
+        (norm (Engine.query e p) = norm (fresh_eval e p));
+      check (name ^ ": the course is selected") true
+        ((Engine.query e p).Dag_eval.selected <> []))
+    [
+      ("view insert", "CS650", view_insert);
+      ("base insert", "CS240", base_insert);
+    ]
+
 (* ---- the equivalence property ---- *)
 
 type act =
   | Ins of int
   | Del of int
+  | Base of int
   | Query of Ast.path
+  | Snap of Ast.path
   | Txn_abort of int
   | Group_abort of int
 
 let pp_act ppf = function
   | Ins s -> Fmt.pf ppf "ins:%d" s
   | Del s -> Fmt.pf ppf "del:%d" s
+  | Base s -> Fmt.pf ppf "base:%d" s
   | Query p -> Fmt.pf ppf "q(%a)" Ast.pp_path p
+  | Snap p -> Fmt.pf ppf "snap(%a)" Ast.pp_path p
   | Txn_abort s -> Fmt.pf ppf "txn-abort:%d" s
   | Group_abort s -> Fmt.pf ppf "group-abort:%d" s
 
@@ -177,7 +311,9 @@ let act_gen ~max_key =
       [
         (2, map (fun s -> Ins s) (int_range 0 9_999));
         (2, map (fun s -> Del s) (int_range 0 9_999));
-        (4, map (fun p -> Query p) (Helpers.synth_path_gen ~max_key));
+        (2, map (fun s -> Base s) (int_range 0 9_999));
+        (3, map (fun p -> Query p) (Helpers.synth_path_gen ~max_key));
+        (2, map (fun p -> Snap p) (Helpers.synth_path_gen ~max_key));
         (1, map (fun s -> Txn_abort s) (int_range 0 9_999));
         (1, map (fun s -> Group_abort s) (int_range 0 9_999));
       ])
@@ -217,6 +353,29 @@ let check_equiv (e : Engine.t) path =
   norm cached = norm reference
   && norm (Engine.query e path) = norm reference
 
+(* one H tuple through Base_update.apply, chosen by [s] from the current
+   H relation: delete one, re-insert one deleted earlier ([gone]), or
+   insert the reverse of one. The reverse closes a cycle whenever both
+   keys are in the view, so the update takes the Would_cycle exit. *)
+let base_update (e : Engine.t) gone s =
+  let db = e.Engine.db in
+  let absent t = not (Database.mem_key db "H" (h_key t)) in
+  let pick l = List.nth l (s mod List.length l) in
+  let op =
+    match (s mod 4, h_tuples db, List.filter absent !gone) with
+    | (0 | 1), (_ :: _ as hs), _ ->
+        let t = pick hs in
+        gone := t :: !gone;
+        Some (Group_update.Delete ("H", h_key t))
+    | 2, _, (_ :: _ as back) -> Some (Group_update.Insert ("H", pick back))
+    | 3, (_ :: _ as hs), _ ->
+        let t = pick hs in
+        let rev = [| t.(1); t.(0) |] in
+        if absent rev then Some (Group_update.Insert ("H", rev)) else None
+    | _ -> None
+  in
+  Option.iter (fun op -> ignore (Base_update.apply e [ op ])) op
+
 let probes =
   [
     Ast.Seq (Ast.Desc_or_self, Ast.Label "c");
@@ -224,6 +383,18 @@ let probes =
     Ast.Seq
       ( Ast.Desc_or_self,
         Ast.Where (Ast.Label "c", Ast.Exists (Ast.Label "sub")) );
+    (* a text comparison reads the node itself, so a slot map entry left
+       on a deleted node fails loudly *)
+    Ast.Seq
+      ( Ast.Desc_or_self,
+        Ast.Where (Ast.Label "c", Ast.Eq (Ast.Label "cid", "1")) );
+    (* the leaves: a c turns into one when its sub loses its last child,
+       which only a dirty row for that sub can show *)
+    Ast.Seq
+      ( Ast.Desc_or_self,
+        Ast.Where
+          ( Ast.Label "c",
+            Ast.Not (Ast.Exists (Ast.Seq (Ast.Label "sub", Ast.Label "c"))) ) );
   ]
 
 (* The first update of a group evaluates before the frame mutates
@@ -279,6 +450,7 @@ let test_group_first_op_cache () =
 
 let run_scenario (p, acts) =
   let d, e = Helpers.engine_of_params p in
+  let gone = ref [] in
   let step = function
     | Ins s -> (
         match one_insertion d e s with
@@ -288,9 +460,37 @@ let run_scenario (p, acts) =
         match one_deletion e s with
         | Some u -> ignore (Engine.apply e u)
         | None -> ())
+    | Base s -> base_update e gone s
     | Query path ->
-        if not (check_equiv e path) then
-          QCheck2.Test.fail_reportf "cached ≠ fresh for %a" Ast.pp_path path
+        (* the probes stay cached, so each later update leaves them
+           dirty rows to revalidate *)
+        List.iter
+          (fun path ->
+            if not (check_equiv e path) then
+              QCheck2.Test.fail_reportf "cached ≠ fresh for %a" Ast.pp_path
+                path)
+          (path :: probes)
+    | Snap path ->
+        (* a snapshot read at the current generation revalidates the
+           shared entries through the frozen views and their slot map,
+           which must match the live one slot for slot, recycled slots
+           included *)
+        let store = e.Engine.store in
+        let view = Store.freeze store in
+        for slot = 0 to Store.slot_capacity store - 1 do
+          if Store.view_id_of_slot view slot <> Store.id_of_slot store slot
+          then QCheck2.Test.fail_reportf "frozen slot map wrong at %d" slot
+        done;
+        let snap = Engine.Snapshot.capture e in
+        List.iter
+          (fun path ->
+            if
+              norm (Engine.Snapshot.query snap path)
+              <> norm (fresh_eval e path)
+            then
+              QCheck2.Test.fail_reportf "snapshot ≠ fresh for %a" Ast.pp_path
+                path)
+          (path :: probes)
     | Txn_abort s ->
         let h = Engine.Txn.begin_ e in
         (match one_insertion d e s with
@@ -317,8 +517,8 @@ let run_scenario (p, acts) =
 
 let test_equivalence =
   Helpers.qtest ~count:60
-    "cached ≡ fresh across update/query/abort interleavings" scenario_gen
-    scenario_print run_scenario
+    "cached ≡ fresh across update/base-update/snapshot/abort interleavings"
+    scenario_gen scenario_print run_scenario
 
 let tests =
   [
@@ -331,5 +531,9 @@ let tests =
     Alcotest.test_case "group first op served from warm cache" `Quick
       test_group_first_op_cache;
     Alcotest.test_case "LRU eviction at capacity" `Quick test_lru_eviction;
+    Alcotest.test_case "leaf-H delete: a read recomputes <5% of rows" `Quick
+      test_base_update_recomputes_few_rows;
+    Alcotest.test_case "text comparisons see new string values" `Quick
+      test_text_eq_sees_new_string_values;
     test_equivalence;
   ]

@@ -103,9 +103,8 @@ type act =
   | Txn_abort of int
   | Group_abort of int
   | Base of int
-      (** a direct relational update through [Base_update] — takes the
-          cycle-repair/[invalidate_all] exits the view pipeline never
-          does *)
+      (** a direct relational update through [Base_update] — its
+          repairs bypass [Engine.apply] and dirty the cache themselves *)
 
 let pp_act ppf = function
   | Ins s -> Fmt.pf ppf "ins:%d" s

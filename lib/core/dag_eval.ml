@@ -512,13 +512,8 @@ let eval_plan_src (src : src) (p : Plan.t) : result =
   bottom_up_src src p tb;
   top_down_src src p tb
 
-(** [eval_src src p] evaluates the XPath [p] from the root of the view
-    the reader is bound to. See {!result}. *)
-let eval_src (src : src) (p : Ast.path) : result =
-  eval_plan_src src (Plan.compile p)
-
 (** [eval store l m p] evaluates the XPath [p] from the root of the view.
     See {!result}. *)
 let eval (store : Store.t) (l : Topo.t) (m : Reach.t) (p : Ast.path) : result
     =
-  eval_src (live_src store l m) p
+  eval_plan_src (live_src store l m) (Plan.compile p)

@@ -67,7 +67,6 @@ type src
 val live_src : Store.t -> Topo.t -> Reach.t -> src
 val view_src : Store.view -> Topo.view -> Reach.view -> src
 
-val eval_src : src -> Ast.path -> result
 val eval_plan_src : src -> Plan.t -> result
 
 (** {2 Decoupled passes — the cacheable DP state}

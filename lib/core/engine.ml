@@ -98,14 +98,13 @@ let pp_rejection ppf = function
         (if n > rejection_id_preview then ", …" else "")
   | Untranslatable msg -> Fmt.pf ppf "untranslatable: %s" msg
 
-(** [create atg db] publishes σ(I) and builds L and M. [seed] starts the
-    WalkSAT seed sequence (deterministic by default). *)
-let create ?(seed = 20070415) (atg : Atg.t) (db : Database.t) : t =
-  let store = Publish.publish atg db in
+(* an engine around [store], with L and M built from it; [verb] says in
+   the log line where the store came from *)
+let assemble ~verb ~seed (atg : Atg.t) (db : Database.t) (store : Store.t) =
   let topo = Topo.of_store store in
   let reach = Reach.compute store topo in
   Log.info (fun m ->
-      m "published %s: %d nodes, %d edges, |M|=%d" atg.Atg.name
+      m "%s %s: %d nodes, %d edges, |M|=%d" verb atg.Atg.name
         (Store.n_nodes store) (Store.n_edges store) (Reach.size reach));
   {
     atg;
@@ -121,29 +120,17 @@ let create ?(seed = 20070415) (atg : Atg.t) (db : Database.t) : t =
     snapshot_reads = Atomic.make 0;
   }
 
+(** [create atg db] publishes σ(I) and builds L and M. [seed] starts the
+    WalkSAT seed sequence (deterministic by default). *)
+let create ?(seed = 20070415) (atg : Atg.t) (db : Database.t) : t =
+  assemble ~verb:"published" ~seed atg db (Publish.publish atg db)
+
 (** [of_durable atg db store] assembles an engine from recovered
     components: L and M are rebuilt from the deserialized store, which
     skips republication (the expensive SPJ evaluation) entirely. *)
 let of_durable ?(seed = 20070415) (atg : Atg.t) (db : Database.t)
     (store : Store.t) : t =
-  let topo = Topo.of_store store in
-  let reach = Reach.compute store topo in
-  Log.info (fun m ->
-      m "recovered %s: %d nodes, %d edges, |M|=%d" atg.Atg.name
-        (Store.n_nodes store) (Store.n_edges store) (Reach.size reach));
-  {
-    atg;
-    db;
-    store;
-    topo;
-    reach;
-    seed;
-    wal = None;
-    cache = Eval_cache.create ();
-    sat = Vinsert.create_cache ();
-    live_reads = Atomic.make 0;
-    snapshot_reads = Atomic.make 0;
-  }
+  assemble ~verb:"recovered" ~seed atg db store
 
 let attach_wal (e : t) (hook : wal_hook) = e.wal <- Some hook
 let detach_wal (e : t) = e.wal <- None
@@ -169,11 +156,9 @@ let wal_log ?(depth = 0) (e : t) ~(seed_before : int)
 
 let now () = Unix.gettimeofday ()
 
-(* All engine-level XPath evaluation funnels through the cache. Once a
-   transaction frame has mutated state the cache declines to serve or
-   store (see Eval_cache), so the same call is a plain fresh eval there;
-   the first update of a group evaluates before any mutation and keeps
-   the cache's full benefit — warm tables, partial revalidation. *)
+(* All engine-level XPath evaluation funnels through the cache, inside a
+   transaction frame too: every update of a group reuses warm tables and
+   repairs only the rows the earlier updates dirtied (see Eval_cache). *)
 let eval_path (e : t) path =
   Eval_cache.query e.cache e.store e.topo e.reach path
 
@@ -487,14 +472,15 @@ let stats (e : t) : stats =
 
 (** {2 Transactions}
 
-    One engine transaction is one undo-journal frame on each of the five
+    One engine transaction is one undo-journal frame on each of the four
     mutable components (the database's shared relation journal, the
-    store's, L's, M's, and the query cache's dirty marks), plus the saved
-    WalkSAT seed. Mutation entry
-    points record exact inverses at their sites, so {!txn_abort} replays
-    O(Δ) inverse operations — not the O(view) deep copies the previous
-    snapshot/restore implementation paid. [apply_group] and [dry_run]
-    run on top of the same frames. *)
+    store's, L's and M's), one frame of the query cache, and the saved
+    WalkSAT seed. Mutation entry points record exact inverses at their
+    sites, so {!Txn.abort} replays O(Δ) inverse operations — not the
+    O(view) deep copies the previous snapshot/restore implementation
+    paid. The query cache keeps no undo: its frame collects the rows the
+    frame's updates dirtied, and the abort dirties them again.
+    [apply_group] and [dry_run] run on top of the same frames. *)
 
 module Txn = struct
   type handle = { t_seed : int }
@@ -514,9 +500,10 @@ module Txn = struct
     Store.commit e.store;
     Database.commit e.db
 
-  (* The five journals are independent — no undo closure reaches across
-     structures — so abort order is free; reverse of [begin_] for
-     hygiene. *)
+  (* The four journals are independent — no undo closure reaches across
+     structures — so their abort order is free; reverse of [begin_] for
+     hygiene. The cache's abort only marks rows dirty and reads none of
+     them, so it may run before the structures are restored. *)
   let abort (e : t) (h : handle) : unit =
     Eval_cache.abort e.cache;
     Reach.abort e.reach;

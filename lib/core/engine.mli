@@ -109,8 +109,9 @@ val query : t -> Rxv_xpath.Ast.path -> Dag_eval.result
 (** read-only XPath evaluation on the current view, served through the
     compiled-plan cache: repeated queries at an unchanged generation are
     O(result), and after a small update only the dirty DP rows are
-    recomputed. Inside an open transaction frame the cache is bypassed
-    (fresh evaluation, nothing stored). *)
+    recomputed. Inside an open transaction frame the cache serves and
+    repairs entries as outside one; a path first read after the frame
+    wrote is evaluated fresh and not stored. *)
 
 val to_tree : ?max_nodes:int -> t -> Rxv_xml.Tree.t
 (** materialize the current (uncompressed) view *)
@@ -152,10 +153,11 @@ val stats : t -> stats
 (** {2 Transactions}
 
     An engine transaction is one undo-journal frame on each mutable
-    component (database, store, L, M, query-cache dirty marks) plus the
-    saved seed: every mutation
-    entry point records its exact inverse, so rollback replays O(Δ)
-    inverse operations instead of restoring O(view) deep copies.
+    component (database, store, L, M) plus the saved seed: every
+    mutation entry point records its exact inverse, so rollback replays
+    O(Δ) inverse operations instead of restoring O(view) deep copies.
+    The query cache keeps no undo: an abort dirties again, at a new
+    generation, every row the frame's updates dirtied.
     Transactions nest; each handle must be resolved exactly once, with
     the innermost open frame resolved first. *)
 

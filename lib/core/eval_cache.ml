@@ -12,34 +12,29 @@
       depends only on its descendants, so rows outside the dirty set are
       unchanged — {!Dag_eval.revalidate_src} over the dirty rows restores
       the first invariant.
-    - While a journal frame is open {e and has already invalidated}
-      ([frame_clean = false]), live queries bypass the cache, so no
-      entry is ever created or revalidated against a state that an
-      abort can roll back; the only mid-frame mutations are
-      [invalidate]'s, which copy-on-write the dirty bitsets and journal
-      the generation — abort restores both exactly. Before the frame's
-      first invalidation the open frame has mutated nothing: the live
-      state still {e is} the committed generation, so serving, filling,
-      promoting, or revalidating an entry describes committed state and
-      stays truthful whether the frame commits or aborts (an abort
-      merely returns to the very state the entry was repaired against,
-      and the generation itself has not moved). This is what lets the
-      first update of a group reuse tables warmed by earlier reads — or
-      left one-mutation-stale by the previous group — instead of paying
-      a full O(|p|·|V|) DP per write. Generation-pinned snapshot
-      queries ({!query_src}) need no bypass at all: they evaluate
-      immutable frozen views of committed state, so any entry they
-      create, promote, or revalidate mid-frame describes the pinned
-      committed generation — true regardless of how the frame ends.
+    - The generation never goes back, so each generation names one
+      state: an entry valid at [g] describes the state at [g], and a
+      snapshot pinned at [g] may be served from it.
+    - Each open transaction frame keeps one bitset: the union of the
+      rows its invalidations dirtied. A row that differs between the
+      state at {!begin_} and any state inside the frame changed at some
+      step, and that step's invalidation put it in the frame's bitset.
+      So an abort is one more invalidation: it ORs the frame's rows into
+      every entry's dirty set and bumps the generation, and an entry
+      that a read inside the frame served, promoted or repaired is
+      repaired back to the restored state by the next read. Commit and
+      abort fold the frame's rows into the enclosing frame, whose own
+      abort must undo them too.
+    - A miss fills a new entry only while no open frame has written.
+      This is for memory, not soundness: a group's one-off delete paths
+      would otherwise fill the LRU with entries no later read uses.
     - Freed slots stay dirty until the next revalidation even if
       re-occupied: the store recycles slots only for new nodes, and new
       nodes are in the next update's touched set anyway.
 
-    The text-length memo needs no journaling: it is a pure function of
-    the current store, revalidation re-measures every row it recomputes,
-    entries for touched ids (deleted nodes among them) are dropped
-    eagerly, and bypassed queries never populate it with rollback-able
-    ids. *)
+    The text-length memo needs nothing at abort: an id the abort frees
+    is in the touched list of whichever update creates it again, and
+    revalidation measures every row it recomputes again. *)
 
 module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
@@ -47,7 +42,6 @@ module Reach = Rxv_dag.Reach
 module Bitset = Rxv_dag.Bitset
 module Ast = Rxv_xpath.Ast
 module Plan = Rxv_xpath.Plan
-module Journal = Rxv_relational.Journal
 
 type counters = {
   hits : int;
@@ -79,15 +73,9 @@ type t = {
   mutable c_evictions : int;
   mutable c_invalidations : int;
   mutable c_recomputed_rows : int;
-  journal : Journal.t;
-  (* per-frame set of entry keys whose dirty bitset was already
-     copy-on-written in that frame — same discipline as Reach *)
-  mutable touched : (string, unit) Hashtbl.t list;
-  (* true while an open frame stack has not yet invalidated: the live
-     state still equals the committed generation, so live queries may
-     use the cache (see the soundness argument above). Meaningless when
-     no frame is open. *)
-  mutable frame_clean : bool;
+  mutable frames : Bitset.t list;
+      (** open transaction frames, innermost first: the rows each one's
+          invalidations dirtied *)
   lock : Mutex.t;
 }
 
@@ -107,14 +95,11 @@ let create ?(cap = default_cap) () =
     c_evictions = 0;
     c_invalidations = 0;
     c_recomputed_rows = 0;
-    journal = Journal.create ();
-    touched = [];
-    frame_clean = false;
+    frames = [];
     lock = Mutex.create ();
   }
 
 let generation t = t.generation
-let recording t = Journal.recording t.journal
 
 let counters t =
   {
@@ -130,96 +115,76 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* ---- transactions ---- *)
-
-let begin_ t =
-  with_lock t (fun () ->
-      (* opening the outermost frame: nothing has mutated yet. A nested
-         frame inherits the parent's cleanliness — and never restores
-         it, so a dirty inner abort conservatively keeps the stack
-         dirty. *)
-      if not (Journal.recording t.journal) then t.frame_clean <- true;
-      Journal.begin_ t.journal;
-      t.touched <- Hashtbl.create 8 :: t.touched)
-
-let commit t =
-  with_lock t (fun () ->
-      Journal.commit t.journal;
-      match t.touched with
-      | top :: parent :: rest ->
-          Hashtbl.iter (fun k () -> Hashtbl.replace parent k ()) top;
-          t.touched <- parent :: rest
-      | [ _ ] | [] -> t.touched <- [])
-
-let abort t =
-  with_lock t (fun () ->
-      Journal.abort t.journal;
-      match t.touched with [] -> () | _ :: rest -> t.touched <- rest)
-
 (* ---- invalidation ---- *)
 
-let bump_generation t =
-  t.frame_clean <- false;
-  if Journal.recording t.journal then begin
-    let saved = t.generation in
-    Journal.record t.journal (fun () -> t.generation <- saved)
-  end;
-  t.generation <- t.generation + 1
-
-(* copy-on-write an entry's dirty bitset into the current frame, once *)
-let cow_dirty t e =
-  match t.touched with
-  | top :: _ when Journal.recording t.journal ->
-      let k = Plan.key e.plan in
-      if not (Hashtbl.mem top k) then begin
-        let saved = e.dirty in
-        Journal.record t.journal (fun () -> e.dirty <- saved);
-        e.dirty <- Bitset.copy saved;
-        Hashtbl.replace top k ()
-      end
-  | _ -> ()
+(* bump the generation and OR the rows [bits ()] into the innermost open
+   frame and every entry's dirty set, applying [text] to each entry's
+   tables. With no entry and no open frame nobody reads the rows. *)
+let dirty_rows t bits ~text =
+  t.c_invalidations <- t.c_invalidations + 1;
+  t.generation <- t.generation + 1;
+  if Hashtbl.length t.entries > 0 || t.frames <> [] then begin
+    let bits = bits () in
+    (match t.frames with f :: _ -> Bitset.union_into ~dst:f bits | [] -> ());
+    Hashtbl.iter
+      (fun _ e ->
+        Bitset.union_into ~dst:e.dirty bits;
+        text e.tables)
+      t.entries
+  end
 
 let invalidate t ~(store : Store.t) ~(reach : Reach.t) ~touched ~freed_slots
     =
   with_lock t (fun () ->
-      t.c_invalidations <- t.c_invalidations + 1;
-      bump_generation t;
-      if Hashtbl.length t.entries > 0 then begin
-        (* stale rows = touched nodes ∪ ancestors(touched) under the
-           post-update M, plus any slot a deleted node vacated *)
-        let bits = Bitset.create () in
-        List.iter
-          (fun id ->
-            if Store.mem_node store id then begin
-              Bitset.set bits (Reach.slot_of reach id);
-              Reach.union_row_into reach id ~dst:bits
-            end)
-          touched;
-        List.iter (fun s -> Bitset.set bits s) freed_slots;
-        Hashtbl.iter
-          (fun _ e ->
-            cow_dirty t e;
-            Bitset.union_into ~dst:e.dirty bits;
-            List.iter (Dag_eval.drop_text_len e.tables) touched)
-          t.entries
-      end)
+      dirty_rows t
+        (fun () ->
+          (* stale rows = touched nodes ∪ ancestors(touched) under the
+             post-update M, plus any slot a deleted node vacated *)
+          let bits = Bitset.create () in
+          List.iter
+            (fun id ->
+              if Store.mem_node store id then begin
+                Bitset.set bits (Reach.slot_of reach id);
+                Reach.union_row_into reach id ~dst:bits
+              end)
+            touched;
+          List.iter (fun s -> Bitset.set bits s) freed_slots;
+          bits)
+        ~text:(fun tb -> List.iter (Dag_eval.drop_text_len tb) touched))
 
 let invalidate_all t ~slot_capacity =
   with_lock t (fun () ->
-      t.c_invalidations <- t.c_invalidations + 1;
-      bump_generation t;
-      if Hashtbl.length t.entries > 0 then begin
-        let bits = Bitset.create () in
-        for s = 0 to slot_capacity - 1 do
-          Bitset.set bits s
-        done;
-        Hashtbl.iter
-          (fun _ e ->
-            cow_dirty t e;
-            Bitset.union_into ~dst:e.dirty bits;
-            Dag_eval.reset_text_len e.tables)
-          t.entries
-      end)
+      dirty_rows t
+        (fun () ->
+          let bits = Bitset.create () in
+          for s = 0 to slot_capacity - 1 do
+            Bitset.set bits s
+          done;
+          bits)
+        ~text:Dag_eval.reset_text_len)
+
+(* ---- transactions ---- *)
+
+let begin_ t = with_lock t (fun () -> t.frames <- Bitset.create () :: t.frames)
+
+let commit t =
+  with_lock t (fun () ->
+      match t.frames with
+      | f :: parent :: rest ->
+          Bitset.union_into ~dst:parent f;
+          t.frames <- parent :: rest
+      | [ _ ] | [] -> t.frames <- [])
+
+(* the state returns to the frame's begin: re-dirty every row the frame
+   changed, and fold them into the enclosing frame *)
+let abort t =
+  with_lock t (fun () ->
+      match t.frames with
+      | [] -> ()
+      | f :: rest ->
+          t.frames <- rest;
+          if not (Bitset.is_empty f) then
+            dirty_rows t (fun () -> f) ~text:ignore)
 
 (* ---- lookup ---- *)
 
@@ -256,88 +221,69 @@ let serve t e =
   e.result
 
 (* [pin = None]: evaluate against the current generation — the live read
-   path. [pin = Some g]: an MVCC snapshot read; [src] reads the frozen
-   views of generation [g]. When [g] is still the current generation
-   (the common case — the server re-publishes a snapshot after every
-   batch) the snapshot query gets the cache's full benefit, including
-   partial revalidation: the views are byte-for-byte the generation's
-   state, so repairing the shared entry through them is sound even while
-   the live structures have moved on. A pinned read at an older
-   generation serves a cached result only if the entry is valid at
-   exactly that generation, and never mutates the entry past it;
-   otherwise it falls back to a fresh, uncached evaluation of the
-   views. *)
+   path, inside a transaction frame or not. [pin = Some g]: an MVCC
+   snapshot read; [src] reads the frozen views of generation [g]. When
+   [g] is still the current generation (the common case — the server
+   re-publishes a snapshot after every batch) the snapshot query gets
+   the cache's full benefit, including partial revalidation: the views
+   are byte-for-byte the generation's state, so repairing the shared
+   entry through them is sound even while the live structures have moved
+   on. A pinned read at an older generation serves a cached result only
+   if the entry is valid at exactly that generation, and never mutates
+   the entry past it; otherwise it falls back to a fresh, uncached
+   evaluation of the views. *)
 let run_query t (src : Dag_eval.src) ~pin path =
-  if recording t && (not t.frame_clean) && pin = None then
-    (* a journal frame is open AND has already mutated state, and this
-       is a LIVE read: evaluate fresh, touch nothing — caching would
-       capture half-applied state. While the frame is still clean the
-       live state equals the committed generation, so the cache path
-       below is sound (this is how the first update of a group reuses
-       warm tables — see the header). Pinned snapshot reads need no
-       bypass either way: they evaluate immutable frozen views of
-       committed state, so if no invalidate has run yet in the frame
-       ([t.generation] still equals the pinned [g]) revalidating an
-       entry against the views leaves it truthfully clean-at-[g]
-       whether the frame commits or aborts, and once the generation
-       moves past [g] the pinned read can only serve an entry's
-       untouched generation-[g] memo or fall back to a fresh eval. *)
-    Dag_eval.eval_src src path
-  else
-    with_lock t (fun () ->
-        let plan = plan_of t path in
-        t.tick <- t.tick + 1;
-        let g = match pin with Some g -> g | None -> t.generation in
-        let current = g = t.generation in
-        match Hashtbl.find_opt t.entries (Plan.key plan) with
-        | Some e when current ->
-            e.stamp <- t.tick;
-            if e.gen_valid = t.generation then serve t e
-            else if Bitset.is_empty e.dirty then begin
-              (* the generation moved but nothing this entry depends on
-                 changed (all observed mutations were rolled back or
-                 touched nothing): promote *)
-              e.gen_valid <- t.generation;
-              serve t e
-            end
-            else begin
-              t.c_partials <- t.c_partials + 1;
-              t.c_recomputed_rows <-
-                t.c_recomputed_rows
-                + Dag_eval.revalidate_src src e.plan e.tables ~dirty:e.dirty;
-              e.dirty <- Bitset.create ();
-              let r = Dag_eval.top_down_src src e.plan e.tables in
-              e.result <- r;
-              e.gen_valid <- t.generation;
-              r
-            end
-        | Some e when e.gen_valid = g ->
-            (* pinned to the exact generation the entry is valid at *)
-            e.stamp <- t.tick;
+  with_lock t (fun () ->
+      let plan = plan_of t path in
+      t.tick <- t.tick + 1;
+      let g = match pin with Some g -> g | None -> t.generation in
+      let current = g = t.generation in
+      match Hashtbl.find_opt t.entries (Plan.key plan) with
+      | Some e when current ->
+          e.stamp <- t.tick;
+          if e.gen_valid = t.generation then serve t e
+          else if Bitset.is_empty e.dirty then begin
+            (* the generation moved but no row this entry depends on
+               changed: promote *)
+            e.gen_valid <- t.generation;
             serve t e
-        | Some _ ->
-            (* pinned to a generation the entry has left behind *)
-            t.c_misses <- t.c_misses + 1;
-            Dag_eval.eval_plan_src src plan
-        | None when current ->
-            t.c_misses <- t.c_misses + 1;
-            evict_if_full t;
-            let tables = Dag_eval.create_tables plan in
-            Dag_eval.bottom_up_src src plan tables;
-            let r = Dag_eval.top_down_src src plan tables in
-            Hashtbl.replace t.entries (Plan.key plan)
-              {
-                plan;
-                tables;
-                gen_valid = t.generation;
-                dirty = Bitset.create ();
-                result = r;
-                stamp = t.tick;
-              };
+          end
+          else begin
+            t.c_partials <- t.c_partials + 1;
+            t.c_recomputed_rows <-
+              t.c_recomputed_rows
+              + Dag_eval.revalidate_src src e.plan e.tables ~dirty:e.dirty;
+            e.dirty <- Bitset.create ();
+            let r = Dag_eval.top_down_src src e.plan e.tables in
+            e.result <- r;
+            e.gen_valid <- t.generation;
             r
-        | None ->
-            t.c_misses <- t.c_misses + 1;
-            Dag_eval.eval_plan_src src plan)
+          end
+      | Some e when e.gen_valid = g ->
+          (* pinned to the exact generation the entry is valid at *)
+          e.stamp <- t.tick;
+          serve t e
+      | None when current && List.for_all Bitset.is_empty t.frames ->
+          t.c_misses <- t.c_misses + 1;
+          evict_if_full t;
+          let tables = Dag_eval.create_tables plan in
+          Dag_eval.bottom_up_src src plan tables;
+          let r = Dag_eval.top_down_src src plan tables in
+          Hashtbl.replace t.entries (Plan.key plan)
+            {
+              plan;
+              tables;
+              gen_valid = t.generation;
+              dirty = Bitset.create ();
+              result = r;
+              stamp = t.tick;
+            };
+          r
+      | Some _ | None ->
+          (* pinned to a generation the entry has left behind, or a
+             path first read after an open frame wrote *)
+          t.c_misses <- t.c_misses + 1;
+          Dag_eval.eval_plan_src src plan)
 
 let query t store l m path =
   run_query t (Dag_eval.live_src store l m) ~pin:None path

@@ -9,26 +9,19 @@
     dirty rows with {!Dag_eval.revalidate_src} and replays the cheap top-down
     pass instead of re-running the full O(|p|·|V|) DP.
 
-    Transactions: dirty marks and the generation are guarded by the same
-    undo-journal discipline as the store and M — {!begin_}/{!commit}/
-    {!abort} bracket a frame; [invalidate] copy-on-writes each entry's
-    dirty bitset into the journal, so an abort restores exactly the
-    pre-frame marks. While a frame is open ({!recording}) {e and has
-    already invalidated}, queries bypass the cache entirely — no entry
-    is ever stamped with a generation that an abort could resurrect for
-    a different state, which is what makes generation restore sound.
-    Before the frame's first invalidation nothing has mutated — the live
-    state still is the committed generation — so queries keep the
-    cache's full benefit; in particular the first update of a group
-    ([Engine.apply_group], hence every server-side write) evaluates its
-    target path through warm tables instead of a cold full DP.
+    Transactions: the generation never goes back. {!begin_}/{!commit}/
+    {!abort} bracket a frame, and each open frame keeps one bitset, the
+    rows its invalidations dirtied; commit and abort fold it into the
+    enclosing frame. An abort is one more invalidation: it dirties the
+    frame's rows in every entry and bumps the generation, so the next
+    read repairs whatever a read inside the frame left behind. Reads
+    inside a frame use the cache like any other read; only a miss after
+    an open frame has written evaluates without filling an entry.
 
     Thread safety: one internal mutex serializes queries and
     invalidations, so snapshot reads on server handler threads and the
-    writer thread's live queries can share one cache. Eviction is LRU, bounded
-    by [cap]; an entry inserted or evicted in a clean frame needs no
-    journaling — it describes committed state that an abort cannot
-    change, and a lost entry is just a later miss. *)
+    writer thread's live queries can share one cache. Eviction is LRU,
+    bounded by [cap]; a lost entry is just a later miss. *)
 
 module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
@@ -52,9 +45,8 @@ val create : ?cap:int -> unit -> t
 val query : t -> Store.t -> Topo.t -> Reach.t -> Ast.path -> Dag_eval.result
 (** evaluate through the cache. Full hit when the entry is current;
     partial revalidation when only some rows are dirty; full fill on a
-    cold plan. Falls back to a fresh, uncached {!Dag_eval.eval} while a
-    transaction frame is open and has already invalidated (a still-clean
-    frame reads committed state, so it keeps the cache). *)
+    cold plan. A cold plan read after an open transaction frame has
+    invalidated is evaluated fresh and left uncached. *)
 
 val query_src : t -> Dag_eval.src -> generation:int -> Ast.path -> Dag_eval.result
 (** MVCC snapshot read: evaluate through [src] (the frozen views of
@@ -69,10 +61,11 @@ val query_src : t -> Dag_eval.src -> generation:int -> Ast.path -> Dag_eval.resu
 val invalidate :
   t -> store:Store.t -> reach:Reach.t -> touched:int list ->
   freed_slots:int list -> unit
-(** note a committed-or-pending structural mutation: bump the generation
-    and dirty the rows of [touched] nodes and their ancestors (per the
-    *post-update* M), plus the recycled [freed_slots]. Dead ids in
-    [touched] contribute no row but still flush the text-length memo. *)
+(** note a structural mutation, committed or inside a frame: bump the
+    generation and dirty the rows of [touched] nodes and their ancestors
+    (per the *post-update* M), plus the recycled [freed_slots]. Dead ids
+    in [touched] contribute no row but still flush the text-length
+    memo. *)
 
 val invalidate_all : t -> slot_capacity:int -> unit
 (** conservative variant for when the touched set is unknown: dirty every
@@ -89,12 +82,9 @@ val commit : t -> unit
 (** keep the frame's effects (folding into any parent frame) *)
 
 val abort : t -> unit
-(** restore the generation and every dirty bitset touched since the
-    matching {!begin_} *)
-
-val recording : t -> bool
-(** is a transaction frame open? (queries bypass the cache once the
-    frame has invalidated) *)
+(** the state has been rolled back to the matching {!begin_}: dirty
+    every row the frame's invalidations dirtied, in every entry, and
+    bump the generation (nothing if the frame dirtied no row) *)
 
 val generation : t -> int
 val counters : t -> counters

@@ -134,7 +134,10 @@ val occurrence_counts : t -> (int, int) Hashtbl.t
 (** occurrences of each node in the uncompressed tree (sharing stats) *)
 
 val copy : t -> t
-(** deep copy — snapshot support for transactional update groups *)
+(** deep copy, slot assignments included — a test and bench oracle: the
+    journal suite checks rollback against a copy taken before the frame,
+    and the transactions bench rebuilds its deep-snapshot baseline from
+    it *)
 
 (** {2 Frozen views}
 

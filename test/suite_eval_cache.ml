@@ -104,11 +104,16 @@ let test_counters () =
     st3.Engine.cache_partials;
   check "post-update ≡ fresh" true (norm r3 = norm (fresh_eval e p))
 
-let test_abort_restores () =
+(* An abort is one more invalidation. A read inside the frame is served
+   from the cache, repairing the entry to the frame's state; the abort
+   re-dirties the frame's rows at a generation higher than any before,
+   so the next read repairs them back. *)
+let test_abort_redirties () =
   let e = Registrar.engine () in
   let p = parse "//prereq/course" in
+  let generation () = Eval_cache.generation e.Engine.cache in
   let before = Engine.query e p in
-  let st0 = Engine.stats e in
+  let g0 = generation () in
   let h = Engine.Txn.begin_ e in
   (match
      Engine.apply e
@@ -121,22 +126,25 @@ let test_abort_restores () =
    with
   | Ok _ -> ()
   | Error rej -> Alcotest.failf "insert rejected: %a" Engine.pp_rejection rej);
-  (* mid-transaction reads bypass the cache and see the txn's state *)
+  let st0 = Engine.stats e in
   let mid = Engine.query e p in
+  let st_mid = Engine.stats e in
   check "mid-txn read sees the insert" true
     (List.length mid.Dag_eval.selected
     > List.length before.Dag_eval.selected);
-  let st_mid = Engine.stats e in
-  Alcotest.(check int) "mid-txn reads don't touch hit counters"
-    st0.Engine.cache_hits st_mid.Engine.cache_hits;
+  check "mid-txn read ≡ fresh" true (norm mid = norm (fresh_eval e p));
+  Alcotest.(check int) "mid-txn read is a partial"
+    (st0.Engine.cache_partials + 1) st_mid.Engine.cache_partials;
+  Alcotest.(check int) "mid-txn read does not miss" st0.Engine.cache_misses
+    st_mid.Engine.cache_misses;
+  let g_mid = generation () in
   Engine.Txn.abort e h;
-  (* generation and dirty marks restored: full hit, identical result *)
+  check "the abort moves the generation past every earlier one" true
+    (generation () > g_mid && g_mid > g0);
   let after = Engine.query e p in
   let st1 = Engine.stats e in
-  Alcotest.(check int) "post-abort query is a full hit"
-    (st0.Engine.cache_hits + 1) st1.Engine.cache_hits;
-  Alcotest.(check int) "post-abort query does not revalidate"
-    st0.Engine.cache_partials st1.Engine.cache_partials;
+  Alcotest.(check int) "post-abort read is a partial"
+    (st_mid.Engine.cache_partials + 1) st1.Engine.cache_partials;
   check "post-abort ≡ pre-txn" true (norm before = norm after);
   check "post-abort ≡ fresh" true (norm after = norm (fresh_eval e p))
 
@@ -294,6 +302,7 @@ type act =
   | Query of Ast.path
   | Snap of Ast.path
   | Txn_abort of int
+  | Nested_abort of int
   | Group_abort of int
 
 let pp_act ppf = function
@@ -303,6 +312,7 @@ let pp_act ppf = function
   | Query p -> Fmt.pf ppf "q(%a)" Ast.pp_path p
   | Snap p -> Fmt.pf ppf "snap(%a)" Ast.pp_path p
   | Txn_abort s -> Fmt.pf ppf "txn-abort:%d" s
+  | Nested_abort s -> Fmt.pf ppf "nested-abort:%d" s
   | Group_abort s -> Fmt.pf ppf "group-abort:%d" s
 
 let act_gen ~max_key =
@@ -315,6 +325,7 @@ let act_gen ~max_key =
         (3, map (fun p -> Query p) (Helpers.synth_path_gen ~max_key));
         (2, map (fun p -> Snap p) (Helpers.synth_path_gen ~max_key));
         (1, map (fun s -> Txn_abort s) (int_range 0 9_999));
+        (1, map (fun s -> Nested_abort s) (int_range 0 9_999));
         (1, map (fun s -> Group_abort s) (int_range 0 9_999));
       ])
 
@@ -397,60 +408,103 @@ let probes =
             Ast.Not (Ast.Exists (Ast.Seq (Ast.Label "sub", Ast.Label "c"))) ) );
   ]
 
-(* The first update of a group evaluates before the frame mutates
-   anything, so it is served from the warm cache; from the second op on
-   the frame is dirty and evals bypass. An aborted group restores the
-   entry exactly. This is the mechanism that keeps server-side write
-   latency (and the failover MTTR probe) off the cold O(|p|·|V|) DP. *)
+(* Every update of a group evaluates its path through the cache: the
+   first before the frame mutates anything, the later ones over the rows
+   the earlier ones dirtied. This is what keeps server-side write
+   latency (and the failover MTTR probe) off the cold O(|p|·|V|) DP. A
+   path first read after the frame wrote is evaluated without filling an
+   entry, and an aborted group leaves its rows dirty. *)
 let test_group_first_op_cache () =
   let e = Registrar.engine () in
   let p1 = parse "course[cno=CS650]/prereq" in
   let p2 = parse "course[cno=CS240]/prereq" in
+  let p3 = parse "course[cno=CS120]/prereq" in
   ignore (Engine.query e p1);
   ignore (Engine.query e p2);
   let ins cno path =
     Xupdate.Insert
       { etype = "course"; attr = Registrar.course_attr cno "New"; path }
   in
+  let group us =
+    match Engine.apply_group e us with
+    | Ok _ -> ()
+    | Error (i, rej) ->
+        Alcotest.failf "group rejected at %d: %a" i Engine.pp_rejection rej
+  in
+  let rejected us =
+    match Engine.apply_group e us with
+    | Ok _ -> Alcotest.fail "invalid group accepted"
+    | Error _ -> ()
+  in
   let st0 = Engine.stats e in
-  (match Engine.apply_group e [ ins "CS901" p1; ins "CS902" p2 ] with
-  | Ok _ -> ()
-  | Error (i, rej) ->
-      Alcotest.failf "group rejected at %d: %a" i Engine.pp_rejection rej);
+  group [ ins "CS901" p1; ins "CS902" p2 ];
   let st1 = Engine.stats e in
   Alcotest.(check int) "first op served from the warm cache"
     (st0.Engine.cache_hits + 1) st1.Engine.cache_hits;
-  Alcotest.(check int) "second op bypasses (frame already dirty)"
-    st0.Engine.cache_misses st1.Engine.cache_misses;
+  Alcotest.(check int) "second op repairs its entry inside the group"
+    (st0.Engine.cache_partials + 1) st1.Engine.cache_partials;
+  Alcotest.(check int) "neither op misses" st0.Engine.cache_misses
+    st1.Engine.cache_misses;
   (* the previous group left p1's entry one-mutation-stale: the next
      group's first op repairs just the dirty rows instead of refilling *)
   let st2 = Engine.stats e in
-  (match Engine.apply_group e [ ins "CS903" p1 ] with
-  | Ok _ -> ()
-  | Error (_, rej) ->
-      Alcotest.failf "second group rejected: %a" Engine.pp_rejection rej);
+  group [ ins "CS903" p1 ];
   let st3 = Engine.stats e in
   Alcotest.(check int) "consecutive write revalidates partially"
     (st2.Engine.cache_partials + 1) st3.Engine.cache_partials;
   List.iter
     (fun p -> check "post-group cached ≡ fresh" true (check_equiv e p))
     [ p1; p2; parse "//course" ];
-  (* an aborted group restores the served entry exactly *)
-  let before = Engine.query e p1 in
+  (* a path first read after the group's first write misses and leaves
+     no entry, so the same read after the group misses again *)
   let st4 = Engine.stats e in
-  (match Engine.apply_group e [ ins "CS904" p1; bad_update ] with
-  | Ok _ -> Alcotest.fail "invalid group accepted"
-  | Error _ -> ());
-  let after = Engine.query e p1 in
+  group [ ins "CS904" p1; ins "CS905" p3 ];
   let st5 = Engine.stats e in
+  Alcotest.(check int) "a cold path inside a written group misses"
+    (st4.Engine.cache_misses + 1) st5.Engine.cache_misses;
+  ignore (Engine.query e p3);
+  let st6 = Engine.stats e in
+  Alcotest.(check int) "and leaves no entry behind"
+    (st5.Engine.cache_misses + 1) st6.Engine.cache_misses;
+  (* a group rejected at validation before it writes leaves the entry
+     as it was *)
+  let before = Engine.query e p1 in
+  let st7 = Engine.stats e in
+  rejected [ bad_update; ins "CS906" p1 ];
+  ignore (Engine.query e p1);
+  let st8 = Engine.stats e in
+  Alcotest.(check int) "read after an unwritten abort is a hit"
+    (st7.Engine.cache_hits + 1) st8.Engine.cache_hits;
+  (* a group that wrote before its rejection leaves the read a partial
+     over the frame's rows, equal to the pre-group result *)
+  rejected [ ins "CS907" p1; bad_update ];
+  let after = Engine.query e p1 in
+  let st9 = Engine.stats e in
   check "post-abort ≡ pre-group" true (norm before = norm after);
   check "post-abort ≡ fresh" true (norm after = norm (fresh_eval e p1));
-  Alcotest.(check int) "post-abort query needs no revalidation"
-    st4.Engine.cache_partials st5.Engine.cache_partials
+  Alcotest.(check int) "read after a written abort is a partial"
+    (st8.Engine.cache_partials + 1) st9.Engine.cache_partials
 
 let run_scenario (p, acts) =
   let d, e = Helpers.engine_of_params p in
   let gone = ref [] in
+  (* the generation never goes back, an abort included *)
+  let last_gen = ref (Eval_cache.generation e.Engine.cache) in
+  let watch_generation what =
+    let g = Eval_cache.generation e.Engine.cache in
+    if g < !last_gen then
+      QCheck2.Test.fail_reportf "generation went back from %d to %d %s"
+        !last_gen g what;
+    last_gen := g
+  in
+  let check_paths what paths =
+    List.iter
+      (fun path ->
+        if not (check_equiv e path) then
+          QCheck2.Test.fail_reportf "%scached ≠ fresh for %a" what
+            Ast.pp_path path)
+      paths
+  in
   let step = function
     | Ins s -> (
         match one_insertion d e s with
@@ -464,12 +518,7 @@ let run_scenario (p, acts) =
     | Query path ->
         (* the probes stay cached, so each later update leaves them
            dirty rows to revalidate *)
-        List.iter
-          (fun path ->
-            if not (check_equiv e path) then
-              QCheck2.Test.fail_reportf "cached ≠ fresh for %a" Ast.pp_path
-                path)
-          (path :: probes)
+        check_paths "" (path :: probes)
     | Snap path ->
         (* a snapshot read at the current generation revalidates the
            shared entries through the frozen views and their slot map,
@@ -499,9 +548,23 @@ let run_scenario (p, acts) =
         (match one_deletion e (s + 1) with
         | Some u -> ignore (Engine.apply e u)
         | None -> ());
-        (* mid-txn reads must bypass the cache and still be correct *)
-        if not (check_equiv e (List.hd probes)) then
-          QCheck2.Test.fail_reportf "mid-txn cached ≠ fresh";
+        (* mid-txn reads repair the cached entries to the frame's state;
+           the abort must dirty those rows again *)
+        check_paths "mid-txn " probes;
+        watch_generation "inside the txn";
+        Engine.Txn.abort e h
+    | Nested_abort s ->
+        (* each group commits into the open frame, which must keep the
+           group's rows for its own abort *)
+        let h = Engine.Txn.begin_ e in
+        Option.iter
+          (fun u -> ignore (Engine.apply_group e [ u ]))
+          (one_insertion d e s);
+        Option.iter
+          (fun u -> ignore (Engine.apply_group e [ u ]))
+          (one_deletion e (s + 1));
+        check_paths "mid-txn, after committed groups, " probes;
+        watch_generation "inside the txn";
         Engine.Txn.abort e h
     | Group_abort s -> (
         let us =
@@ -512,11 +575,15 @@ let run_scenario (p, acts) =
         | Ok _ -> QCheck2.Test.fail_reportf "invalid group accepted"
         | Error _ -> ())
   in
-  List.iter step acts;
+  List.iter
+    (fun a ->
+      step a;
+      watch_generation (Fmt.str "after %a" pp_act a))
+    acts;
   List.for_all (check_equiv e) probes
 
 let test_equivalence =
-  Helpers.qtest ~count:60
+  Helpers.qtest ~count:60 ~long_factor:50
     "cached ≡ fresh across update/base-update/snapshot/abort interleavings"
     scenario_gen scenario_print run_scenario
 
@@ -526,8 +593,8 @@ let tests =
       test_plan_key_canonical;
     test_plan_key_iff_equivalent;
     Alcotest.test_case "hit/miss/partial counters" `Quick test_counters;
-    Alcotest.test_case "abort restores generation and dirty marks" `Quick
-      test_abort_restores;
+    Alcotest.test_case "abort re-dirties frame rows, generation grows" `Quick
+      test_abort_redirties;
     Alcotest.test_case "group first op served from warm cache" `Quick
       test_group_first_op_cache;
     Alcotest.test_case "LRU eviction at capacity" `Quick test_lru_eviction;

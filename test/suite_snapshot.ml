@@ -253,7 +253,7 @@ let run_scenario (p, acts) =
     probes
 
 let test_pinned_isolation =
-  Helpers.qtest ~count:60
+  Helpers.qtest ~count:60 ~long_factor:50
     "pinned snapshot is byte-stable across commit/abort interleavings"
     scenario_gen scenario_print run_scenario
 

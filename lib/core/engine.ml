@@ -200,7 +200,7 @@ let apply_delete (e : t) ~(policy : policy) path :
         | exception Xupdate.Update_rejected msg -> Error (Untranslatable msg)
         | delta_v -> (
             let t1 = now () in
-            match Vdelete.translate e.atg e.store ~delta_v with
+            match Vdelete.translate e.atg e.db e.store ~delta_v with
             | Vdelete.Rejected msg -> Error (Untranslatable msg)
             | Vdelete.Translated delta_r ->
                 Group_update.apply e.db delta_r;
@@ -213,14 +213,16 @@ let apply_delete (e : t) ~(policy : policy) path :
                   Maintain.on_delete e.store e.topo e.reach
                     ~targets:ev.Dag_eval.selected
                 in
-                (* stale DP rows: desc-or-self of the targets, the
-                   arrival parents (their children lists shrank), and the
-                   recycled slots of cascaded-away nodes *)
+                (* stale DP rows: the arrival parents, whose children
+                   lists shrank, with their ancestors, and the recycled
+                   slots of cascaded-away nodes. A row depends only on
+                   its node's descendants, so the targets' subtrees keep
+                   theirs; the deleted ids only leave the text memos. *)
                 Eval_cache.invalidate e.cache ~store:e.store ~reach:e.reach
                   ~touched:
                     (List.rev_append
                        (List.rev_map fst delta_v)
-                       mst.Maintain.touched)
+                       mst.Maintain.deleted_nodes)
                   ~freed_slots:mst.Maintain.deleted_slots;
                 let t_maintain = now () -. t2 in
                 Ok
@@ -318,14 +320,19 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
                         provenances;
                       let t_translate = now () -. t1 in
                       let t2 = now () in
-                      let touched =
-                        Maintain.on_insert e.store e.topo e.reach
-                          ~targets:ev.Dag_eval.selected
-                          ~root_id:tr.Xupdate.subtree_root
-                          ~new_nodes:tr.Xupdate.new_nodes
-                      in
+                      Maintain.on_insert e.store e.topo e.reach
+                        ~targets:ev.Dag_eval.selected
+                        ~root_id:tr.Xupdate.subtree_root
+                        ~new_nodes:tr.Xupdate.new_nodes;
+                      (* stale DP rows: the targets, which gained rA,
+                         with their ancestors, and the new nodes; the
+                         common subtree nodes keep their descendants *)
                       Eval_cache.invalidate e.cache ~store:e.store
-                        ~reach:e.reach ~touched ~freed_slots:[];
+                        ~reach:e.reach
+                        ~touched:
+                          (List.rev_append ev.Dag_eval.selected
+                             tr.Xupdate.new_nodes)
+                        ~freed_slots:[];
                       let t_maintain = now () -. t2 in
                       Ok
                         {

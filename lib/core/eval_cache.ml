@@ -7,11 +7,12 @@
       equals a fresh eval, for the current store/L/M.
     - Every structural mutation calls {!invalidate} (or
       {!invalidate_all}) after maintenance, bumping the generation and
-      OR-ing the changed nodes' slots ∪ their ancestors' slots ∪ freed
-      slots into every entry's dirty set. A node's bottom-up value
-      depends only on its descendants, so rows outside the dirty set are
-      unchanged — {!Dag_eval.revalidate_src} over the dirty rows restores
-      the first invariant.
+      OR-ing the slots of the nodes whose children changed or that it
+      created ∪ their ancestors' slots ∪ freed slots into every entry's
+      dirty set. A node's bottom-up value depends only on its
+      descendants, so rows outside the dirty set are unchanged —
+      {!Dag_eval.revalidate_src} over the dirty rows restores the first
+      invariant.
     - The generation never goes back, so each generation names one
       state: an entry valid at [g] describes the state at [g], and a
       snapshot pinned at [g] may be served from it.

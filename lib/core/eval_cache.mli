@@ -3,9 +3,10 @@
     Each entry keeps one plan's bottom-up DP tables ({!Dag_eval.tables})
     and last result, stamped with the DAG generation it is valid at. The
     engine bumps the generation on every structural mutation and reports
-    the touched nodes; the cache dirties those nodes' rows *and their
-    ancestors'* (via the reachability matrix M — a node's bottom-up value
-    depends only on its descendants), so a later query repairs just the
+    the nodes whose children changed; the cache dirties those nodes' rows
+    *and their ancestors'* (via the reachability matrix M — a node's
+    bottom-up value depends only on its descendants), so a later query
+    repairs just the
     dirty rows with {!Dag_eval.revalidate_src} and replays the cheap top-down
     pass instead of re-running the full O(|p|·|V|) DP.
 
@@ -63,9 +64,11 @@ val invalidate :
   freed_slots:int list -> unit
 (** note a structural mutation, committed or inside a frame: bump the
     generation and dirty the rows of [touched] nodes and their ancestors
-    (per the *post-update* M), plus the recycled [freed_slots]. Dead ids
-    in [touched] contribute no row but still flush the text-length
-    memo. *)
+    (per the *post-update* M), plus the recycled [freed_slots].
+    [touched] must hold every node whose children changed and every node
+    the mutation created; the rows of other nodes below them keep their
+    values. Dead ids in [touched] contribute no row but still flush the
+    text-length memo. *)
 
 val invalidate_all : t -> slot_capacity:int -> unit
 (** conservative variant for when the touched set is unknown: dirty every

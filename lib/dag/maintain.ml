@@ -29,9 +29,6 @@
 
 type delete_stats = {
   deleted_nodes : int list;
-  touched : int list;
-      (** desc-or-self of the targets (including the nodes then deleted)
-          — the seed set for dirtying cached DP rows *)
   deleted_slots : int list;
       (** store slots freed by [deleted_nodes], captured before removal:
           the store recycles slots, so cached per-slot rows must be
@@ -68,12 +65,9 @@ let subtree_order store root_id =
 (** Algorithm Δ(M,L)insert. [targets] is r[[p]]; [root_id] is rA;
     [new_nodes] are the subtree nodes that did not exist before the
     insertion (so NC = subtree \ new_nodes). The store must already
-    contain the subtree and the (target, rA) connection edges. Returns
-    the subtree ∪ targets — the nodes whose rows this update visited, and
-    the seed set for dirtying cached DP rows: every other node's
-    bottom-up value depends only on descendants outside this set. *)
+    contain the subtree and the (target, rA) connection edges. *)
 let on_insert (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets ~root_id
-    ~new_nodes : int list =
+    ~new_nodes : unit =
   let la_list = subtree_order store root_id in
   let new_set = Hashtbl.create 16 in
   List.iter (fun id -> Hashtbl.replace new_set id ()) new_nodes;
@@ -117,8 +111,7 @@ let on_insert (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets ~root_id
           (fun best u -> if Topo.ord l u < Topo.ord l best then u else best)
           t0 rest
       in
-      Topo.insert_before l ~anchor fresh);
-  List.rev_append targets la_list
+      Topo.insert_before l ~anchor fresh)
 
 (** Algorithm Δ(M,L)delete. [targets] is r[[p]]; the Ep(r) edges must
     already be removed from the store. Recomputes ancestor rows for
@@ -169,7 +162,7 @@ let on_delete (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets :
       Reach.remove_row m d;
       Store.remove_node store d)
     !deleted;
-  { deleted_nodes = !deleted; touched = lr; deleted_slots = !deleted_slots }
+  { deleted_nodes = !deleted; deleted_slots = !deleted_slots }
 
 (** Full-scan garbage collector: removes every node unreachable from the
     root. The incremental path (Fig. 8) should leave nothing for this to

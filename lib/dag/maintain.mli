@@ -16,9 +16,6 @@
 
 type delete_stats = {
   deleted_nodes : int list;
-  touched : int list;
-      (** desc-or-self of the targets (including the nodes then deleted)
-          — the seed set for dirtying cached DP rows *)
   deleted_slots : int list;
       (** store slots freed by [deleted_nodes], captured before removal:
           the store recycles slots, so cached per-slot rows must be
@@ -32,13 +29,10 @@ val on_insert :
   targets:int list ->
   root_id:int ->
   new_nodes:int list ->
-  int list
+  unit
 (** Algorithm Δ(M,L)insert. [targets] is r[[p]]; [root_id] is rA;
     [new_nodes] are the subtree nodes not present before. The store must
-    already contain the subtree and the connection edges. Returns the
-    touched nodes (subtree ∪ targets) — the seed set for dirtying cached
-    DP rows: every other node's bottom-up value depends only on
-    descendants outside this set.
+    already contain the subtree and the connection edges.
     @raise Topo.Topo_error if there are new nodes but no target *)
 
 val on_delete :

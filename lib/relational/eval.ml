@@ -5,7 +5,9 @@
     indexes, and the per-level split of the WHERE conjunction into local
     filters, hash-join keys and residual predicates — producing a {!plan}.
     {!run_prepared} executes a plan as a left-deep pipeline: each level
-    either scans its relation or probes the relation's persistent
+    scans its relation, looks one tuple up in the key table when its
+    equalities cover the primary key ({!Relation.find_by_key}, the rest
+    checked as filters), or else probes the relation's persistent
     secondary index ({!Relation.index_on}) with a key assembled from the
     already-bound prefix plus any constant/parameter equality pins on that
     level. The join order is chosen greedily at compile time: a pinned
@@ -35,11 +37,18 @@ type cop =
   | C_param of int
   | C_col of int * int  (** (FROM position, column index) *)
 
+(** how a level binds its relation *)
+type access =
+  | Scan  (** no equality reaches this level: every tuple *)
+  | Key of cop list
+      (** the equalities cover the primary key: one lookup in the key
+          table, with these operands in key order *)
+  | Index of int list * cop list
+      (** probe the secondary index on these columns with these operands *)
+
 type step = {
   s_rname : string;  (** relation to bind at this level *)
-  s_build_cols : int list;
-      (** this alias's join-key columns; [] = no join, scan *)
-  s_probe : cop list;  (** probe-key operands over the bound prefix *)
+  s_access : access;
   s_filters : (cop * cop) list;
       (** residual equalities checkable once this level is bound *)
 }
@@ -144,7 +153,8 @@ let prepare (db : Database.t) (q : Spj.t) : plan =
         let i = order.(l) in
         let _, rname = from.(i) in
         let rel_schema = Schema.find_relation schema rname in
-        let build = ref [] and probe = ref [] and filters = ref [] in
+        (* (column of this level, operand over the bound prefix) *)
+        let pairs = ref [] and filters = ref [] in
         List.iter
           (fun (Spj.Eq (a, b), cls) ->
             if level_of_pred cls = l then
@@ -154,20 +164,33 @@ let prepare (db : Database.t) (q : Spj.t) : plan =
                   let at, (pb, bt) =
                     if pa = i then (at, (pb, bt)) else (bt, (pa, at))
                   in
-                  build := Schema.attr_index rel_schema at :: !build;
-                  probe :=
-                    compile_op (Spj.Col (fst from.(pb), bt)) :: !probe
+                  pairs :=
+                    ( Schema.attr_index rel_schema at,
+                      compile_op (Spj.Col (fst from.(pb), bt)) )
+                    :: !pairs
               | P_pin (_, at, op) ->
-                  build := Schema.attr_index rel_schema at :: !build;
-                  probe := compile_op op :: !probe
+                  pairs :=
+                    (Schema.attr_index rel_schema at, compile_op op) :: !pairs
               | _ -> filters := (compile_op a, compile_op b) :: !filters)
           preds;
-        {
-          s_rname = rname;
-          s_build_cols = List.rev !build;
-          s_probe = List.rev !probe;
-          s_filters = List.rev !filters;
-        })
+        let pairs = List.rev !pairs in
+        let key = Array.to_list rel_schema.Schema.key in
+        let access, filters =
+          if pairs = [] then (Scan, List.rev !filters)
+          else if List.for_all (fun c -> List.mem_assoc c pairs) key then
+            (* the first operand of each key column forms the key; every
+               other pair is checked on the tuple found *)
+            let residual =
+              List.fold_left (fun ps c -> List.remove_assoc c ps) pairs key
+            in
+            ( Key (List.map (fun c -> List.assoc c pairs) key),
+              List.map (fun (c, op) -> (C_col (l, c), op)) residual
+              @ List.rev !filters )
+          else
+            let cols, ops = List.split pairs in
+            (Index (cols, ops), List.rev !filters)
+        in
+        { s_rname = rname; s_access = access; s_filters = filters })
   in
   {
     p_qname = q.Spj.qname;
@@ -216,14 +239,12 @@ let run_prepared (db : Database.t) (plan : plan) ?(params = [||]) () :
         env.(i) <- t;
         if filters_ok step then extend (i + 1)
       in
-      match step.s_build_cols with
-      | [] -> Relation.iter try_tuple rel
-      | cols -> (
-          let index = Relation.index_on rel cols in
-          let probe_key =
-            List.map (fun op -> cop_value plan ~params env op) step.s_probe
-          in
-          match Hashtbl.find_opt index probe_key with
+      let values ops = List.map (fun op -> cop_value plan ~params env op) ops in
+      match step.s_access with
+      | Scan -> Relation.iter try_tuple rel
+      | Key ops -> Option.iter try_tuple (Relation.find_by_key rel (values ops))
+      | Index (cols, ops) -> (
+          match Hashtbl.find_opt (Relation.index_on rel cols) (values ops) with
           | None -> ()
           | Some ts -> List.iter try_tuple ts)
     end

@@ -1,9 +1,10 @@
 (** SPJ query evaluation: compile-once left-deep hash-join pipelines with
     selection pushdown. Publishing prepares each star rule once and runs
-    it per parent node, with the parent's attribute as parameters. Joins
-    probe the relations' persistent secondary indexes
-    ({!Relation.index_on}), which survive across calls and are maintained
-    incrementally under updates. *)
+    it per parent node, with the parent's attribute as parameters. A
+    level whose equalities cover its relation's primary key looks the
+    tuple up in the key table; other joins probe the relations'
+    persistent secondary indexes ({!Relation.index_on}), which survive
+    across calls and are maintained incrementally under updates. *)
 
 exception Eval_error of string
 

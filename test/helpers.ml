@@ -183,3 +183,28 @@ let synth_path_gen ~max_key =
 let qtest ?(count = 100) ?long_factor name gen print prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count ?long_factor ~print gen prop)
+
+(* ---- scratch directories ---- *)
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+
+let temp_dirs = ref 0
+
+(* [with_temp_dir tag f] runs [f] on a fresh, empty directory under the
+   system temp dir and removes it afterwards *)
+let with_temp_dir tag f =
+  incr temp_dirs;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rxv-%s-%d-%d" tag (Unix.getpid ()) !temp_dirs)
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)

@@ -141,6 +141,44 @@ let test_latent_cycle_rejected () =
   | Ok _ -> Alcotest.fail "view insertion linking a cycle accepted");
   assert_consistent e
 
+(* Reversing a prerequisite in one batch: CS650 → CS320 becomes
+   CS320 → CS650. The parent that gains a child is reconciled before the
+   one that loses it, so linking first would see the old edge close a
+   cycle the new view does not have. Every parent unlinks before any
+   links, so the batch is accepted. *)
+let test_reversed_edge_accepted () =
+  let e = Registrar.engine () in
+  ignore
+    (apply_ok e
+       [
+         Group_update.Insert ("prereq", [| s "CS320"; s "CS650" |]);
+         Group_update.Delete ("prereq", [ s "CS650"; s "CS320" ]);
+         Group_update.Insert ("prereq", [| s "CS650"; s "CS240" |]);
+       ]);
+  assert_consistent e
+
+(* The same reversal with a real cycle (CS320 → CS120 → CS320) must roll
+   back to the state before the batch. Rolling back re-reconciles the
+   parents in the same order, so re-linking CS320 under CS650 before
+   unlinking CS650 from CS320 closed a cycle there and escaped as an
+   exception, leaving the view inconsistent. *)
+let test_cycle_rollback_after_reversal () =
+  let e = Registrar.engine () in
+  let before = Rxv_relational.Database.copy e.Engine.db in
+  (match
+     Base_update.apply e
+       [
+         Group_update.Insert ("prereq", [| s "CS320"; s "CS650" |]);
+         Group_update.Delete ("prereq", [ s "CS650"; s "CS320" ]);
+         Group_update.Insert ("prereq", [| s "CS120"; s "CS320" |]);
+       ]
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "cyclic base update accepted");
+  check "database restored" true
+    (Rxv_relational.Database.equal before e.Engine.db);
+  assert_consistent e
+
 (* random base updates on synthetic data: consistency must hold after
    every group *)
 let random_base_updates =
@@ -304,6 +342,10 @@ let tests =
       test_cyclic_base_update_rejected;
     Alcotest.test_case "cycle outside the view stays out" `Quick
       test_latent_cycle_rejected;
+    Alcotest.test_case "reversed edge in one batch accepted" `Quick
+      test_reversed_edge_accepted;
+    Alcotest.test_case "cycle rollback after a reversal" `Quick
+      test_cycle_rollback_after_reversal;
     random_base_updates;
     Alcotest.test_case "interleaved view/base updates" `Quick
       test_interleaved;

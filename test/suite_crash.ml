@@ -29,25 +29,8 @@ let ins cno title path =
       path = Parser.parse path;
     }
 
-let dir_counter = ref 0
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-
-let with_dir f =
-  incr dir_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rxv-crash-test-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+let with_dir f = Helpers.with_temp_dir "crash-test" f
+let rm_rf = Helpers.rm_rf
 
 let read_file path =
   let ic = open_in_bin path in

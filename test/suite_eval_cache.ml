@@ -177,16 +177,45 @@ let h_tuples db =
 
 let h_key (t : Rxv_relational.Tuple.t) = [ t.(0); t.(1) ]
 
-(* One leaf-H delete, as replica_apply's batches make them, must leave a
-   read a few dirty rows, not all of L: Base_update dirties what its
-   repairs touched, and revalidation visits only dirty rows. Checked on
-   the live read path and on the snapshot read path. *)
-let test_base_update_recomputes_few_rows () =
+(* A small write must leave a read a few dirty rows, not all of L: the
+   writer dirties only the nodes whose children changed, with their
+   ancestors, and revalidation visits only dirty rows. Two writes: one
+   leaf-H delete through Base_update, as replica_apply's batches make
+   them, and a view-update re-link of a shared non-leaf c, a delete plus
+   a re-insert in one Engine.apply_group, as fig11_mix makes them. A DP
+   row depends only on its node's descendants, so the re-linked subtree
+   keeps its rows. Checked on the live read path and on the snapshot
+   read path after each write. *)
+let test_small_writes_recompute_few_rows () =
   let d = Synth.generate (Synth.default_params ~seed:3 1000) in
   let e = Engine.create (Synth.atg ()) d.Synth.db in
+  let store = e.Engine.store in
   let live_path = parse "//c/sub/c" and snap_path = parse "//c[cid=7]" in
   ignore (Engine.query e live_path);
   ignore (Engine.Snapshot.query (Engine.Snapshot.capture e) snap_path);
+  let recomputed read =
+    let count () =
+      (Eval_cache.counters e.Engine.cache).Eval_cache.recomputed_rows
+    in
+    let before = count () in
+    let r = read () in
+    (r, count () - before)
+  in
+  let check_read name path read =
+    let rows = Store.n_nodes store in
+    let r, n = recomputed read in
+    check (name ^ " ≡ fresh") true (norm r = norm (fresh_eval e path));
+    if n = 0 || 20 * n >= rows then
+      Alcotest.failf "%s recomputed %d of %d rows (want 1 to <5%%)" name n
+        rows
+  in
+  let check_reads write =
+    check_read (write ^ ", live read") live_path (fun () ->
+        Engine.query e live_path);
+    let snap = Engine.Snapshot.capture e in
+    check_read (write ^ ", snapshot read") snap_path (fun () ->
+        Engine.Snapshot.query snap snap_path)
+  in
   (* an H tuple whose child key has none of its own: deleting it unlinks
      one leaf c *)
   let h = Database.relation e.Engine.db "H" in
@@ -204,26 +233,52 @@ let test_base_update_recomputes_few_rows () =
       check "the delete repaired a parent" true
         (r.Base_update.affected_parents > 0)
   | Error m -> Alcotest.failf "base update failed: %s" m);
-  let rows = Store.n_nodes e.Engine.store in
-  let recomputed read =
-    let count () =
-      (Eval_cache.counters e.Engine.cache).Eval_cache.recomputed_rows
+  check_reads "leaf-H delete";
+  (* the shared non-leaf c with the largest subtree, unlinked from one
+     parent and linked back *)
+  let subtree_size id =
+    let seen = Hashtbl.create 64 in
+    let rec go id =
+      if not (Hashtbl.mem seen id) then begin
+        Hashtbl.replace seen id ();
+        List.iter go (Store.children store id)
+      end
     in
-    let before = count () in
-    let r = read () in
-    (r, count () - before)
+    go id;
+    Hashtbl.length seen
   in
-  let check_read name path read =
-    let r, n = recomputed read in
-    check (name ^ " ≡ fresh") true (norm r = norm (fresh_eval e path));
-    if n = 0 || 20 * n >= rows then
-      Alcotest.failf "%s recomputed %d of %d rows (want 1 to <5%%)" name n
-        rows
+  let c =
+    List.fold_left
+      (fun best c ->
+        if Store.in_degree store c > 1 && subtree_size c > 3 then
+          match best with
+          | Some b when subtree_size b >= subtree_size c -> best
+          | _ -> Some c
+        else best)
+      None (Store.gen_ids store "c")
   in
-  check_read "live read" live_path (fun () -> Engine.query e live_path);
-  let snap = Engine.Snapshot.capture e in
-  check_read "snapshot read" snap_path (fun () ->
-      Engine.Snapshot.query snap snap_path)
+  let c =
+    match c with Some c -> c | None -> Alcotest.fail "no shared non-leaf c"
+  in
+  let key id = Value.to_string (Store.node store id).Store.attr.(0) in
+  let pk = key (List.hd (Store.parents store c)) and ck = key c in
+  (match
+     Engine.apply_group e
+       [
+         Xupdate.Delete (parse (Printf.sprintf "//c[cid=%s]/sub/c[cid=%s]" pk ck));
+         Xupdate.Insert
+           {
+             etype = "c";
+             attr = (Store.node store c).Store.attr;
+             path = parse (Printf.sprintf "//c[cid=%s]/sub" pk);
+           };
+       ]
+   with
+  | Ok _ -> ()
+  | Error (i, rej) ->
+      Alcotest.failf "re-link rejected at %d: %a" i Engine.pp_rejection rej);
+  check "the re-linked c kept its node" true (Store.mem_node store c);
+  check_reads "re-link"
 
 (* ---- string values after an update ---- *)
 
@@ -297,6 +352,7 @@ let test_text_eq_sees_new_string_values () =
 
 type act =
   | Ins of int
+  | Relink of int
   | Del of int
   | Base of int
   | Query of Ast.path
@@ -307,6 +363,7 @@ type act =
 
 let pp_act ppf = function
   | Ins s -> Fmt.pf ppf "ins:%d" s
+  | Relink s -> Fmt.pf ppf "relink:%d" s
   | Del s -> Fmt.pf ppf "del:%d" s
   | Base s -> Fmt.pf ppf "base:%d" s
   | Query p -> Fmt.pf ppf "q(%a)" Ast.pp_path p
@@ -320,6 +377,7 @@ let act_gen ~max_key =
     frequency
       [
         (2, map (fun s -> Ins s) (int_range 0 9_999));
+        (1, map (fun s -> Relink s) (int_range 0 9_999));
         (2, map (fun s -> Del s) (int_range 0 9_999));
         (2, map (fun s -> Base s) (int_range 0 9_999));
         (3, map (fun p -> Query p) (Helpers.synth_path_gen ~max_key));
@@ -348,6 +406,41 @@ let one_insertion d (e : Engine.t) s =
   with
   | u :: _ -> Some u
   | [] -> None
+
+(* link an existing c under a sub that lacks it, its subtree shared and
+   no node new: only the sub's row and its ancestors' change. Keys grow
+   along the generated edges, so a sub with a smaller key is rarely below
+   the c; when it is, Xinsert rejects the cycle. *)
+let one_relink (e : Engine.t) s =
+  let store = e.Engine.store in
+  let key id = Value.to_string (Store.node store id).Store.attr.(0) in
+  let subs = Store.gen_ids store "sub" in
+  let pairs =
+    List.concat_map
+      (fun c ->
+        List.filter_map
+          (fun sub ->
+            if
+              Value.compare (Store.node store sub).Store.attr.(0)
+                (Store.node store c).Store.attr.(0)
+              < 0
+              && not (Store.mem_edge store sub c)
+            then Some (sub, c)
+            else None)
+          subs)
+      (Store.gen_ids store "c")
+  in
+  match pairs with
+  | [] -> None
+  | _ ->
+      let sub, c = List.nth pairs (s mod List.length pairs) in
+      Some
+        (Xupdate.Insert
+           {
+             etype = "c";
+             attr = (Store.node store c).Store.attr;
+             path = parse (Printf.sprintf "//c[cid=%s]/sub" (key sub));
+           })
 
 let one_deletion (e : Engine.t) s =
   match Updates.deletions e.Engine.store (cls_of s) ~count:1 ~seed:s with
@@ -510,6 +603,10 @@ let run_scenario (p, acts) =
         match one_insertion d e s with
         | Some u -> ignore (Engine.apply e u)
         | None -> ())
+    | Relink s -> (
+        match one_relink e s with
+        | Some u -> ignore (Engine.apply e u)
+        | None -> ())
     | Del s -> (
         match one_deletion e s with
         | Some u -> ignore (Engine.apply e u)
@@ -598,8 +695,9 @@ let tests =
     Alcotest.test_case "group first op served from warm cache" `Quick
       test_group_first_op_cache;
     Alcotest.test_case "LRU eviction at capacity" `Quick test_lru_eviction;
-    Alcotest.test_case "leaf-H delete: a read recomputes <5% of rows" `Quick
-      test_base_update_recomputes_few_rows;
+    Alcotest.test_case "leaf-H delete: a read recomputes <5% of rows, re-link too"
+      `Quick
+      test_small_writes_recompute_few_rows;
     Alcotest.test_case "text comparisons see new string values" `Quick
       test_text_eq_sees_new_string_values;
     test_equivalence;

@@ -33,7 +33,10 @@ let test_delete_prefers_unshared_source () =
      top-level occurrence of CS320, hence not side-effect free) *)
   let e = Registrar.engine () in
   let ev = Engine.query e (Parser.parse "course[cno=CS650]/prereq/course[cno=CS320]") in
-  match Vdelete.translate (Registrar.atg ()) e.Engine.store ~delta_v:ev.Rxv_core.Dag_eval.arrival_edges with
+  match
+    Vdelete.translate (Registrar.atg ()) e.Engine.db e.Engine.store
+      ~delta_v:ev.Rxv_core.Dag_eval.arrival_edges
+  with
   | Vdelete.Translated dr ->
       check "deletes only the prereq tuple" true
         (dr = [ Group_update.Delete ("prereq", [ s "CS650"; s "CS320" ]) ])
@@ -178,12 +181,12 @@ let test_minimal_beats_greedy () =
   in
   check_int "two edges to delete" 2 (List.length delta_v);
   let greedy =
-    match Vdelete.translate atg e.Engine.store ~delta_v with
+    match Vdelete.translate atg e.Engine.db e.Engine.store ~delta_v with
     | Vdelete.Translated dr -> dr
     | Vdelete.Rejected m -> Alcotest.failf "greedy rejected: %s" m
   in
   let minimal =
-    match Vdelete.minimal_deletions atg e.Engine.store ~delta_v with
+    match Vdelete_oracle.minimal_deletions atg e.Engine.store ~delta_v with
     | Some dr -> dr
     | None -> Alcotest.fail "minimal not found"
   in
@@ -207,8 +210,8 @@ let test_minimal_deletions_oracle () =
   let delta_v = ev.Rxv_core.Dag_eval.arrival_edges in
   let atg = Registrar.atg () in
   match
-    ( Vdelete.translate atg e.Engine.store ~delta_v,
-      Vdelete.minimal_deletions atg e.Engine.store ~delta_v )
+    ( Vdelete.translate atg e.Engine.db e.Engine.store ~delta_v,
+      Vdelete_oracle.minimal_deletions atg e.Engine.store ~delta_v )
   with
   | Vdelete.Translated greedy, Some minimal ->
       check "minimal ≤ greedy" true

@@ -13,6 +13,7 @@ let () =
       ("snapshot", Suite_snapshot.tests);
       ("atg", Suite_atg.tests);
       ("vupdate", Suite_vupdate.tests);
+      ("vdelete", Suite_vdelete.tests);
       ("validate", Suite_validate.tests);
       ("workload", Suite_workload.tests);
       ("base_update", Suite_base_update.tests);

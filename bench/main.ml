@@ -51,6 +51,7 @@ module Metrics = Rxv_server.Metrics
 module Batcher = Rxv_server.Batcher
 module Follower = Rxv_replica.Follower
 module Parser = Rxv_xpath.Parser
+module Plan = Rxv_xpath.Plan
 
 let scale : [ `Full | `Quick | `Smoke ] ref = ref `Full
 
@@ -1111,6 +1112,48 @@ let xpath_cache () =
         ])
     (sizes ())
 
+(* ---------- xpath_passes: cold evaluation, pass by pass ---------- *)
+
+(* The two passes of Dag_eval timed apart on cold tables, per delete plan
+   of each class: the bottom-up DP over L, and the top-down refinement
+   that reads it (through M for W1's //c[cid=..]). table_words is the
+   size of the filled tables (Obj.reachable_words). *)
+let xpath_passes () =
+  let plans = 8 in
+  header
+    (Printf.sprintf
+       "xpath_passes: cold Dag_eval passes per delete plan (median of %d \
+        plans per class)"
+       plans)
+    [ "|C|"; "class"; "bottom_up_ms"; "top_down_ms"; "table_words" ];
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  List.iter
+    (fun n ->
+      let _, e = engine_for n in
+      let src = Dag_eval.live_src e.Engine.store e.Engine.topo e.Engine.reach in
+      List.iter
+        (fun cls ->
+          let runs =
+            List.map
+              (fun u ->
+                let plan = Plan.compile (Xupdate.path_of u) in
+                let tb = Dag_eval.create_tables plan in
+                let (), bu = time (fun () -> Dag_eval.bottom_up_src src plan tb) in
+                let _, td = time (fun () -> Dag_eval.top_down_src src plan tb) in
+                (bu, td, Obj.reachable_words (Obj.repr tb)))
+              (Updates.deletions e.Engine.store cls ~count:plans ~seed:7)
+          in
+          row
+            [
+              string_of_int n;
+              Updates.cls_name cls;
+              Printf.sprintf "%.3f" (1000. *. median (List.map (fun (b, _, _) -> b) runs));
+              Printf.sprintf "%.3f" (1000. *. median (List.map (fun (_, t, _) -> t) runs));
+              string_of_int (median (List.map (fun (_, _, w) -> w) runs));
+            ])
+        [ Updates.W1; Updates.W2; Updates.W3 ])
+    (sizes ())
+
 (* ---------- translate: insertion translation, cold vs cached ---------- *)
 
 (* minimum cold vs cached translate speedup across sizes;
@@ -1773,6 +1816,7 @@ let experiments : (string * (unit -> unit)) list =
     ("ablations", ablations);
     ("chaos", chaos);
     ("xpath_cache", xpath_cache);
+    ("xpath_passes", xpath_passes);
     ("translate", translate_bench);
     ("snapshot_reads", snapshot_reads);
     ("replication", replication);
@@ -1791,8 +1835,8 @@ let usage () =
      [--check-cache-ratio R] [--check-replica-scale R] [--check-translate-speedup R] \
      [--check-failover-mttr SECONDS] \
      [all|fig10b|fig11a..fig11h|table1|transactions|recovery|server|\
-     ablations|chaos|xpath_cache|translate|snapshot_reads|replication|\
-     failover|bechamel]...";
+     ablations|chaos|xpath_cache|xpath_passes|translate|snapshot_reads|\
+     replication|failover|bechamel]...";
   exit 2
 
 let () =

@@ -124,14 +124,19 @@ let run_round round max_n =
             | Error _ -> incr rejected)
         | _ -> ())
     | 2 -> (
+        (* unlink a c, then link it back: a re-link of an edge still in
+           the view would change nothing *)
         match
-          Updates.insertions d e.Engine.store cls ~count:1
-            ~seed:(Rng.int rng 10_000) ~fresh:false ()
+          Updates.relinks d e.Engine.store cls ~count:1
+            ~seed:(Rng.int rng 10_000)
         with
-        | [ u ] -> (
-            match Engine.apply ~policy:`Proceed e u with
-            | Ok _ -> incr applied
-            | Error _ -> incr rejected)
+        | [ (del, ins) ] ->
+            List.iter
+              (fun u ->
+                match Engine.apply ~policy:`Proceed e u with
+                | Ok _ -> incr applied
+                | Error _ -> incr rejected)
+              [ del; ins ]
         | _ -> ())
     | _ -> (
         let g = random_base_group d rng n step in

@@ -2,10 +2,16 @@
 
     Bottom-up: dynamic programming over the topological order L and the
     sub-expression order of filters, computing the paper's val(q, v) and
-    (through the // recurrence) desc(q, v) for every node and filter
-    suffix — O(|p|·|V|). Top-down: forward frontiers C_i, refined backward
-    into the nodes on successful matches, yielding r[[p]], the arrival
-    edges Ep(r) and the side-effect set S.
+    (through the // recurrence) desc(q, v) per filter suffix. Each row is
+    computed only at the label all of its readers look at: the row after
+    a label step [a] (unless the next step is [//]), the rows after a
+    filter that follows such a label, and row 0 of a filter referenced
+    only after one label. Top-down: forward frontiers C_i, refined
+    backward into the nodes on successful matches, yielding r[[p]], the
+    arrival edges Ep(r) and the side-effect set S. A [//] step followed
+    by a label step [a] takes the [a] nodes below C_i from M, with
+    candidates from the next filter's row 0 or from a label row, instead
+    of walking the DAG. Both passes are O(|p|·|V|) in the worst case.
 
     Value filters (p = "s") compare XPath string values via a text-length
     DP (lengths saturate just above the plan's longest comparison string)
@@ -71,19 +77,22 @@ val eval_plan_src : src -> Plan.t -> result
 
 (** {2 Decoupled passes — the cacheable DP state}
 
-    [tables] holds a plan's bottom-up state: the per-(filter, suffix)
-    satisfiability bitsets over node slots, plus the memoized text-length
-    DP. Fill with {!bottom_up_src}, answer with {!top_down_src}; after an
-    update, repair the rows of changed nodes and their ancestors, text
-    lengths included, with {!revalidate_src}. *)
+    [tables] holds a plan's bottom-up state: its gate table, the
+    per-(filter, suffix) satisfiability bitsets over node slots (exact at
+    their gate label, stale elsewhere), the label rows its [//] steps
+    read, plus the memoized text lengths of nodes with children. Fill
+    with {!bottom_up_src}, answer with {!top_down_src}; after an update,
+    repair the rows of changed nodes and their ancestors, text lengths
+    included, with {!revalidate_src}. *)
 
 type tables
 
 val create_tables : Plan.t -> tables
-(** empty tables shaped for the plan's filter suffixes *)
+(** empty tables shaped for the plan's filter suffixes, with the plan's
+    gate table *)
 
 val bottom_up_src : src -> Plan.t -> tables -> unit
-(** full DP fill over L (leaves first) *)
+(** DP fill over L (leaves first), each row at its gate label *)
 
 val revalidate_src : src -> Plan.t -> tables -> dirty:Rxv_dag.Bitset.t -> int
 (** recompute only the rows whose slot is set in [dirty], children before

@@ -3,8 +3,9 @@
     Soundness argument, in terms of the invariants maintained:
 
     - [entry.gen_valid = t.generation] and [Bitset.is_empty entry.dirty]
-      ⟹ [entry.tables] equals a fresh bottom-up fill and [entry.result]
-      equals a fresh eval, for the current store/L/M.
+      ⟹ [entry.tables] equals a fresh bottom-up fill at every bit a
+      reader looks at (each row at the nodes of its gate label) and
+      [entry.result] equals a fresh eval, for the current store/L/M.
     - Every structural mutation calls {!invalidate} (or
       {!invalidate_all}) after maintenance, bumping the generation and
       OR-ing the slots of the nodes whose children changed or that it

@@ -6,9 +6,13 @@
     the nodes whose children changed; the cache dirties those nodes' rows
     *and their ancestors'* (via the reachability matrix M — a node's
     bottom-up value depends only on its descendants), so a later query
-    repairs just the
-    dirty rows with {!Dag_eval.revalidate_src} and replays the cheap top-down
-    pass instead of re-running the full O(|p|·|V|) DP.
+    repairs just the dirty rows with {!Dag_eval.revalidate_src} and
+    replays the cheap top-down pass instead of re-running the bottom-up
+    DP over all of L. That DP computes each row only at its gate label,
+    and a [//] followed by a label step reads M instead of walking the
+    DAG, but both passes stay O(|p|·|V|) in the worst case. A dirty row
+    at a node outside its gate label is left as it is: its bits there
+    are never read.
 
     Transactions: the generation never goes back. {!begin_}/{!commit}/
     {!abort} bracket a frame, and each open frame keeps one bitset, the

@@ -113,3 +113,10 @@ let insertions (d : Synth.dataset) (store : Store.t) (cls : cls) ~count ~seed
             path = insert_path cls pk;
           })
       (sample rng count cands)
+
+(** [relinks d store cls ~count ~seed]: deletions and re-links of the
+    same edges; both sample the same candidates with the same seed. *)
+let relinks d store cls ~count ~seed =
+  List.combine
+    (deletions store cls ~count ~seed)
+    (insertions d store cls ~count ~seed ~fresh:false ())

@@ -26,3 +26,15 @@ val insertions :
     [fresh] (default) synthesizes brand-new keys (exercising Algorithm
     insert's template/SAT path), [not fresh] re-links existing deeper
     subtrees (exercising sharing; never an ancestor, so acyclic) *)
+
+val relinks :
+  Synth.dataset ->
+  Store.t ->
+  cls ->
+  count:int ->
+  seed:int ->
+  (Xupdate.t * Xupdate.t) list
+(** [count] pairs of a deletion of a sub → c edge in the view and the
+    insertion that re-links the same c under the same sub, drawn with
+    one seed before either is applied. Apply the deletion first: a
+    re-link of an edge still in the view is a no-op. *)

@@ -179,6 +179,23 @@ let synth_path_gen ~max_key =
   | s :: rest ->
       return (List.fold_left (fun acc st -> Ast.Seq (acc, st)) s rest)
 
+(* ---- XPath results ---- *)
+
+(* result equality up to list order: selected/types/edges/side-effect
+   sets are sets; only zero_move_match is positional *)
+let norm (r : Rxv_core.Dag_eval.result) =
+  let open Rxv_core.Dag_eval in
+  ( List.sort compare r.selected,
+    List.sort compare r.selected_types,
+    List.sort compare r.arrival_edges,
+    List.sort compare r.side_effects,
+    List.sort compare r.side_effects_delete,
+    r.zero_move_match )
+
+(* the reference evaluator on the engine's live structures *)
+let oracle_eval (e : Engine.t) path =
+  Dag_eval_oracle.eval e.Engine.store e.Engine.topo e.Engine.reach path
+
 (* [long_factor] multiplies [count] when QCHECK_LONG=1 is set *)
 let qtest ?(count = 100) ?long_factor name gen print prop =
   QCheck_alcotest.to_alcotest

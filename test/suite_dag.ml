@@ -269,7 +269,11 @@ let maintenance_matches_recompute =
       in
       run_all (Updates.deletions e.Engine.store Updates.W1 ~count:2 ~seed:p.Synth.seed);
       run_all (Updates.insertions d e.Engine.store Updates.W2 ~count:2 ~seed:(p.Synth.seed + 1) ());
-      run_all (Updates.insertions d e.Engine.store Updates.W1 ~count:2 ~seed:(p.Synth.seed + 2) ~fresh:false ());
+      run_all
+        (List.concat_map
+           (fun (del, ins) -> [ del; ins ])
+           (Updates.relinks d e.Engine.store Updates.W1 ~count:2
+              ~seed:(p.Synth.seed + 2)));
       run_all (Updates.deletions e.Engine.store Updates.W3 ~count:2 ~seed:(p.Synth.seed + 3));
       match Engine.check_consistency e with
       | Ok () -> true

@@ -10,6 +10,14 @@ module Tree_eval = Rxv_xpath.Tree_eval
 module Store = Rxv_dag.Store
 module Engine = Rxv_core.Engine
 module Dag_eval = Rxv_core.Dag_eval
+module Xupdate = Rxv_core.Xupdate
+module Plan = Rxv_xpath.Plan
+module Updates = Rxv_workload.Updates
+module Base_update = Rxv_core.Base_update
+module Database = Rxv_relational.Database
+module Group_update = Rxv_relational.Group_update
+module Value = Rxv_relational.Value
+module Registrar = Rxv_workload.Registrar
 module Synth = Rxv_workload.Synth
 
 let check = Alcotest.(check bool)
@@ -202,6 +210,147 @@ let delete_subset_of_insert =
         (fun x -> List.mem x r.Dag_eval.side_effects)
         r.Dag_eval.side_effects_delete)
 
+(* ---- Dag_eval ≡ the two-pass oracle on the registrar view ----
+
+   Random base and view updates over the sample instance's keys; after
+   each, every probe read live through the cache, fresh, and through a
+   snapshot must equal the oracle on all six result fields. The probes
+   take each route a [//] step has: a label row ([//course]), a filter's
+   row 0 ([//course[cno=..]]), from a frontier below the root, and the
+   walk ([//*], a trailing [//]). *)
+
+let reg_courses = [| "CS120"; "CS240"; "CS320"; "CS650"; "MA100" |]
+let reg_titles =
+  [|
+    "Programming"; "Data Structures"; "Database Systems";
+    "Advanced Databases"; "Calculus";
+  |]
+let reg_students = [| "S01"; "S02"; "S03" |]
+
+let reg_probes =
+  List.map Parser.parse
+    [
+      "//course";
+      "//course[cno=CS320]";
+      "//course[cno=CS320]/takenBy/student";
+      "//course[not(prereq/course)]";
+      "//course[cno=CS120 or cno=CS650]/prereq";
+      "course[cno=CS650]//student[ssn=S03]";
+      "//prereq/course//cno";
+      "//student[ssn=S02 and name=Bob]";
+      "//*[cno=CS240]";
+      "course//.";
+      "//course[prereq//course/cno=CS120]/title";
+    ]
+
+let registrar_act (e : Engine.t) s =
+  let s1 = s / 4 in
+  let course i = reg_courses.(i mod Array.length reg_courses) in
+  let c1 = course s1 and c2 = course (s1 / 5) in
+  let st = reg_students.((s1 / 25) mod Array.length reg_students) in
+  let toggle rel key row =
+    ignore
+      (Base_update.apply e
+         [
+           (if Database.mem_key e.Engine.db rel key then
+              Group_update.Delete (rel, key)
+            else Group_update.Insert (rel, row));
+         ])
+  in
+  let v = Value.str in
+  match s mod 4 with
+  | 0 -> toggle "prereq" [ v c1; v c2 ] [| v c1; v c2 |]
+  | 1 -> toggle "enroll" [ v st; v c1 ] [| v st; v c1 |]
+  | 2 ->
+      let path =
+        if s1 mod 2 = 0 then
+          Printf.sprintf "//course[cno=%s]/prereq/course[cno=%s]" c1 c2
+        else Printf.sprintf "//course[cno=%s]/takenBy/student[ssn=%s]" c1 st
+      in
+      ignore
+        (Engine.apply ~policy:`Proceed e (Xupdate.Delete (Parser.parse path)))
+  | _ ->
+      let i = (s1 / 5) mod Array.length reg_courses in
+      ignore
+        (Engine.apply ~policy:`Proceed e
+           (Xupdate.Insert
+              {
+                etype = "course";
+                attr = Registrar.course_attr reg_courses.(i) reg_titles.(i);
+                path =
+                  Parser.parse (Printf.sprintf "//course[cno=%s]/prereq" c1);
+              }))
+
+let registrar_matches_oracle =
+  Helpers.qtest ~count:40 "registrar: live, fresh and snapshot reads ≡ oracle"
+    QCheck2.Gen.(list_size (int_range 4 12) (int_range 0 99_999))
+    Fmt.(str "%a" (Dump.list int))
+    (fun acts ->
+      let e = Registrar.engine () in
+      let pinned = Engine.Snapshot.capture e in
+      let at_pin =
+        List.map (fun p -> Helpers.norm (Helpers.oracle_eval e p)) reg_probes
+      in
+      let agree what p got =
+        if Helpers.norm got <> Helpers.norm (Helpers.oracle_eval e p) then
+          QCheck2.Test.fail_reportf "%s ≠ oracle for %s" what
+            (Ast.to_string p)
+      in
+      List.iter
+        (fun s ->
+          registrar_act e s;
+          let snap = Engine.Snapshot.capture e in
+          List.iter
+            (fun p ->
+              agree "cached" p (Engine.query e p);
+              agree "fresh" p
+                (Dag_eval.eval e.Engine.store e.Engine.topo e.Engine.reach p);
+              agree "snapshot" p (Engine.Snapshot.query snap p))
+            reg_probes)
+        acts;
+      List.for_all2
+        (fun p want -> Helpers.norm (Engine.Snapshot.query pinned p) = want)
+        reg_probes at_pin)
+
+(* ---- work counts of cold evaluation ----
+
+   Allocation and table sizes repeat exactly on every host, so these
+   bounds cannot flake. At |C| = 3K (data seed 7), for 4 W1 delete
+   plans (//c[cid=..]/sub/c[cid=..]): the filled tables stay within
+   2,000 words (22.3K when every row was filled at every node and every
+   node's text length memoized), and the top-down pass allocates at
+   most twice the median of 4 W2 plans (46x when // walked the DAG). *)
+let test_work_counts () =
+  let d = Synth.generate (Synth.default_params ~seed:7 3000) in
+  let e = Engine.create (Synth.atg ()) d.Synth.db in
+  let src = Dag_eval.live_src e.Engine.store e.Engine.topo e.Engine.reach in
+  let cold cls =
+    List.map
+      (fun u ->
+        let plan = Plan.compile (Xupdate.path_of u) in
+        let tb = Dag_eval.create_tables plan in
+        Dag_eval.bottom_up_src src plan tb;
+        let w0 = Gc.minor_words () in
+        let r = Dag_eval.top_down_src src plan tb in
+        let words = Gc.minor_words () -. w0 in
+        if r.Dag_eval.selected = [] then
+          Alcotest.failf "%s selects nothing"
+            (Ast.to_string (Xupdate.path_of u));
+        (Obj.reachable_words (Obj.repr tb), words))
+      (Updates.deletions e.Engine.store cls ~count:4 ~seed:1)
+  in
+  let w2 = List.sort compare (List.map snd (cold Updates.W2)) in
+  let w2_median = (List.nth w2 1 +. List.nth w2 2) /. 2. in
+  List.iter
+    (fun (table_words, words) ->
+      if table_words > 2_000 then
+        Alcotest.failf "W1 tables take %d words (want <= 2000)" table_words;
+      if words > 2. *. w2_median then
+        Alcotest.failf
+          "W1 top-down allocates %.0f words (want <= 2x the W2 median %.0f)"
+          words w2_median)
+    (cold Updates.W1)
+
 let tests =
   [
     Alcotest.test_case "side-effect split (delete vs insert)" `Quick
@@ -211,4 +360,7 @@ let tests =
     dag_matches_oracle_arrivals;
     side_effect_soundness;
     Alcotest.test_case "registrar paths" `Quick test_registrar_paths;
+    registrar_matches_oracle;
+    Alcotest.test_case "cold W1 work counts at |C| = 3K" `Quick
+      test_work_counts;
   ]

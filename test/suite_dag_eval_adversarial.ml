@@ -17,6 +17,8 @@ module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
 module Reach = Rxv_dag.Reach
 module Dag_eval = Rxv_core.Dag_eval
+module Plan = Rxv_xpath.Plan
+module Bitset = Rxv_dag.Bitset
 module Rng = Rxv_sat.Rng
 
 (* random DAG with a small label alphabet; labels repeat across levels so
@@ -54,6 +56,15 @@ let path_gen =
         (1, map (fun l -> Ast.Label_is l) lbl);
         (1, map (fun l -> Ast.Not (Ast.Exists (Ast.Label l))) lbl);
         (1, map (fun l -> Ast.Exists (Ast.Seq (Ast.Desc_or_self, Ast.Label l))) lbl);
+        (* [a//b]: the row after the label is also read by the // below
+           it, at children of any label *)
+        ( 1,
+          map2
+            (fun l1 l2 ->
+              Ast.Exists
+                (Ast.Seq
+                   (Ast.Label l1, Ast.Seq (Ast.Desc_or_self, Ast.Label l2))))
+            lbl lbl );
       ]
   in
   let step =
@@ -219,10 +230,108 @@ let insert_side_effects_sound =
               Tree.equal_canonical local global
             end))
 
+(* replace a random leaf by a new node of a random label, which takes
+   over the leaf's slot, under a random parent *)
+let replace_a_leaf store rng ~key =
+  let ids = Store.fold_nodes (fun nd acc -> nd.Store.id :: acc) store [] in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  match
+    List.filter
+      (fun id -> id <> Store.root store && Store.children store id = [])
+      ids
+  with
+  | [] -> ()
+  | leaves ->
+      let x = pick leaves in
+      List.iter
+        (fun u -> ignore (Store.remove_edge store u x))
+        (Store.parents store x);
+      Store.remove_node store x;
+      let parent = pick (List.filter (fun id -> id <> x) ids) in
+      let y =
+        Store.gen_id store
+          [| "a"; "b"; "c" |].(Rng.int rng 3)
+          [| Value.Int key |]
+          ?text:(if Rng.int rng 2 = 0 then Some "1" else None)
+          ()
+      in
+      Store.add_edge store parent y ~provenance:None
+
+(* Dag_eval against the two-pass oracle on all six result fields: cold,
+   then with every row revalidated after a leaf's slot passed to a node
+   of a random label. A row gated at one label keeps stale bits at the
+   others, and the reused slot holds the old node's bits. *)
+let oracle_match =
+  Helpers.qtest ~count:300 ~long_factor:100
+    "adversarial DAGs: Dag_eval ≡ two-pass oracle, cold and revalidated"
+    case_gen print_case
+    (fun (((n, _, seed) as params), p) ->
+      let store = build_store params in
+      let plan = Plan.compile p in
+      let tb = Dag_eval.create_tables plan in
+      let agrees fill =
+        with_structures store (fun l m ->
+            let src = Dag_eval.live_src store l m in
+            fill src;
+            Helpers.norm (Dag_eval.top_down_src src plan tb)
+            = Helpers.norm (Dag_eval_oracle.eval store l m p))
+      in
+      let revalidate_all src =
+        let dirty = Bitset.create () in
+        for s = 0 to Store.slot_capacity store - 1 do
+          Bitset.set dirty s
+        done;
+        ignore (Dag_eval.revalidate_src src plan tb ~dirty)
+      in
+      agrees (fun src -> Dag_eval.bottom_up_src src plan tb)
+      &&
+      (replace_a_leaf store (Rng.create (seed + 1)) ~key:(n + 1);
+       agrees revalidate_all))
+
+(* A plan may reference one path filter after two different labels,
+   though Plan.compile gives each filter a single reference; its row 0
+   must then be computed at both. Filter 0 ("has a c child") is read
+   after a in the outer path and after b inside filter 1, so the plan
+   a[c and b[c]] selects a1 only if row 0 is filled at b1 too. *)
+let test_shared_filter_gate () =
+  let store = Store.create () in
+  let node label i = Store.gen_id store label [| Value.Int i |] () in
+  let root = node "root" 0 and a1 = node "a" 1 and b1 = node "b" 2 in
+  Store.set_root store root;
+  List.iter
+    (fun (u, v) -> Store.add_edge store u v ~provenance:None)
+    [ (root, a1); (a1, node "c" 3); (a1, b1); (b1, node "c" 4) ];
+  let a = 0 and b = 1 and c = 2 in
+  let plan =
+    {
+      Plan.outer =
+        [|
+          Plan.S_label a;
+          Plan.S_filter (Plan.F_and (Plan.F_path 0, Plan.F_path 1));
+        |];
+      pfilters =
+        [|
+          { Plan.steps = [| Plan.S_label c |]; target = Plan.T_exists };
+          {
+            Plan.steps = [| Plan.S_label b; Plan.S_filter (Plan.F_path 0) |];
+            target = Plan.T_exists;
+          };
+        |];
+      labels = [| "a"; "b"; "c" |];
+      key = "";
+    }
+  in
+  with_structures store (fun l m ->
+      let r = Dag_eval.eval_plan_src (Dag_eval.live_src store l m) plan in
+      Alcotest.(check (list int)) "a[c and b[c]]" [ a1 ] r.Dag_eval.selected)
+
 let tests =
   [
     selected_match;
     arrivals_match;
     side_effects_sound;
     insert_side_effects_sound;
+    oracle_match;
+    Alcotest.test_case "a filter read after two labels" `Quick
+      test_shared_filter_gate;
   ]

@@ -26,18 +26,10 @@ module Registrar = Rxv_workload.Registrar
 
 let check = Alcotest.(check bool)
 
-(* result equality up to list order: selected/types/edges/side-effect
-   sets are sets; only zero_move_match is positional *)
-let norm (r : Dag_eval.result) =
-  ( List.sort compare r.Dag_eval.selected,
-    List.sort compare r.Dag_eval.selected_types,
-    List.sort compare r.Dag_eval.arrival_edges,
-    List.sort compare r.Dag_eval.side_effects,
-    List.sort compare r.Dag_eval.side_effects_delete,
-    r.Dag_eval.zero_move_match )
+let norm = Helpers.norm
 
-let fresh_eval (e : Engine.t) path =
-  Dag_eval.eval e.Engine.store e.Engine.topo e.Engine.reach path
+(* the reference answer: the two-pass oracle, evaluated from scratch *)
+let fresh_eval = Helpers.oracle_eval
 
 (* ---- plan keys ---- *)
 
@@ -399,13 +391,16 @@ let scenario_print (p, acts) =
 let cls_of s =
   match s mod 3 with 0 -> Updates.W1 | 1 -> Updates.W2 | _ -> Updates.W3
 
-let one_insertion d (e : Engine.t) s =
-  match
-    Updates.insertions d e.Engine.store (cls_of s) ~count:1 ~seed:s
-      ~fresh:(s mod 2 = 0) ()
-  with
-  | u :: _ -> Some u
-  | [] -> None
+(* a fresh-key insertion, or for odd [s] the deletion of an edge and
+   its re-link, drawn together: a re-link of an edge still in the view
+   would change nothing *)
+let insertions d (e : Engine.t) s =
+  let store = e.Engine.store in
+  if s mod 2 = 0 then Updates.insertions d store (cls_of s) ~count:1 ~seed:s ()
+  else
+    List.concat_map
+      (fun (del, ins) -> [ del; ins ])
+      (Updates.relinks d store (cls_of s) ~count:1 ~seed:s)
 
 (* link an existing c under a sub that lacks it, its subtree shared and
    no node new: only the sub's row and its ancestors' change. Keys grow
@@ -456,6 +451,8 @@ let check_equiv (e : Engine.t) path =
   let reference = fresh_eval e path in
   norm cached = norm reference
   && norm (Engine.query e path) = norm reference
+  && norm (Dag_eval.eval e.Engine.store e.Engine.topo e.Engine.reach path)
+     = norm reference
 
 (* one H tuple through Base_update.apply, chosen by [s] from the current
    H relation: delete one, re-insert one deleted earlier ([gone]), or
@@ -599,10 +596,7 @@ let run_scenario (p, acts) =
       paths
   in
   let step = function
-    | Ins s -> (
-        match one_insertion d e s with
-        | Some u -> ignore (Engine.apply e u)
-        | None -> ())
+    | Ins s -> List.iter (fun u -> ignore (Engine.apply e u)) (insertions d e s)
     | Relink s -> (
         match one_relink e s with
         | Some u -> ignore (Engine.apply e u)
@@ -639,9 +633,7 @@ let run_scenario (p, acts) =
           (path :: probes)
     | Txn_abort s ->
         let h = Engine.Txn.begin_ e in
-        (match one_insertion d e s with
-        | Some u -> ignore (Engine.apply e u)
-        | None -> ());
+        List.iter (fun u -> ignore (Engine.apply e u)) (insertions d e s);
         (match one_deletion e (s + 1) with
         | Some u -> ignore (Engine.apply e u)
         | None -> ());
@@ -654,9 +646,9 @@ let run_scenario (p, acts) =
         (* each group commits into the open frame, which must keep the
            group's rows for its own abort *)
         let h = Engine.Txn.begin_ e in
-        Option.iter
+        List.iter
           (fun u -> ignore (Engine.apply_group e [ u ]))
-          (one_insertion d e s);
+          (insertions d e s);
         Option.iter
           (fun u -> ignore (Engine.apply_group e [ u ]))
           (one_deletion e (s + 1));
@@ -665,8 +657,7 @@ let run_scenario (p, acts) =
         Engine.Txn.abort e h
     | Group_abort s -> (
         let us =
-          (match one_insertion d e s with Some u -> [ u ] | None -> [])
-          @ [ bad_update ]
+          insertions d e s @ [ bad_update ]
         in
         match Engine.apply_group e us with
         | Ok _ -> QCheck2.Test.fail_reportf "invalid group accepted"

@@ -17,17 +17,10 @@ module Registrar = Rxv_workload.Registrar
 let check = Alcotest.(check bool)
 let parse = Parser.parse
 
-(* result equality up to list order, as in suite_eval_cache *)
-let norm (r : Dag_eval.result) =
-  ( List.sort compare r.Dag_eval.selected,
-    List.sort compare r.Dag_eval.selected_types,
-    List.sort compare r.Dag_eval.arrival_edges,
-    List.sort compare r.Dag_eval.side_effects,
-    List.sort compare r.Dag_eval.side_effects_delete,
-    r.Dag_eval.zero_move_match )
+let norm = Helpers.norm
 
-let fresh_eval (e : Engine.t) path =
-  Dag_eval.eval e.Engine.store e.Engine.topo e.Engine.reach path
+(* the reference answer: the two-pass oracle, evaluated from scratch *)
+let fresh_eval = Helpers.oracle_eval
 
 (* ---- unit tests ---- *)
 
@@ -136,13 +129,16 @@ let scenario_print (p, acts) =
 let cls_of s =
   match s mod 3 with 0 -> Updates.W1 | 1 -> Updates.W2 | _ -> Updates.W3
 
-let one_insertion d (e : Engine.t) s =
-  match
-    Updates.insertions d e.Engine.store (cls_of s) ~count:1 ~seed:s
-      ~fresh:(s mod 2 = 0) ()
-  with
-  | u :: _ -> Some u
-  | [] -> None
+(* a fresh-key insertion, or for odd [s] the deletion of an edge and
+   its re-link, drawn together: a re-link of an edge still in the view
+   would change nothing *)
+let insertions d (e : Engine.t) s =
+  let store = e.Engine.store in
+  if s mod 2 = 0 then Updates.insertions d store (cls_of s) ~count:1 ~seed:s ()
+  else
+    List.concat_map
+      (fun (del, ins) -> [ del; ins ])
+      (Updates.relinks d store (cls_of s) ~count:1 ~seed:s)
 
 let one_deletion (e : Engine.t) s =
   match Updates.deletions e.Engine.store (cls_of s) ~count:1 ~seed:s with
@@ -170,14 +166,15 @@ let mid_frame_probe = Ast.Seq (Ast.Desc_or_self, Ast.Label "sub")
 
 let run_scenario (p, acts) =
   let d, e = Helpers.engine_of_params p in
-  (* pin one snapshot; a twin captured at the same instant supplies the
-     expected answers *before* any mutation runs, so the later checks on
+  (* pin one snapshot; the oracle on the live structures supplies the
+     expected answers and a twin captured at the same instant the
+     expected stats, *before* any mutation runs, so the later checks on
      [snap] — evaluated from its frozen views while the writer has long
      moved on — are not answered from anything memoized pre-mutation *)
   let snap = Engine.Snapshot.capture e in
   let twin = Engine.Snapshot.capture e in
-  let expected = List.map (fun pr -> norm (Engine.Snapshot.query twin pr)) probes in
-  let expected_mid = norm (Engine.Snapshot.query twin mid_frame_probe) in
+  let expected = List.map (fun pr -> norm (fresh_eval e pr)) probes in
+  let expected_mid = norm (fresh_eval e mid_frame_probe) in
   let expected_stats = Engine.Snapshot.stats twin in
   let snap_stable () =
     List.for_all2
@@ -185,19 +182,14 @@ let run_scenario (p, acts) =
       probes expected
   in
   let step = function
-    | Ins s -> (
-        match one_insertion d e s with
-        | Some u -> ignore (Engine.apply e u)
-        | None -> ())
+    | Ins s -> List.iter (fun u -> ignore (Engine.apply e u)) (insertions d e s)
     | Del s -> (
         match one_deletion e s with
         | Some u -> ignore (Engine.apply e u)
         | None -> ())
     | Txn_abort s ->
         let h = Engine.Txn.begin_ e in
-        (match one_insertion d e s with
-        | Some u -> ignore (Engine.apply e u)
-        | None -> ());
+        List.iter (fun u -> ignore (Engine.apply e u)) (insertions d e s);
         (match one_deletion e (s + 1) with
         | Some u -> ignore (Engine.apply e u)
         | None -> ());
@@ -214,8 +206,7 @@ let run_scenario (p, acts) =
         Engine.Txn.abort e h
     | Group_abort s -> (
         let us =
-          (match one_insertion d e s with Some u -> [ u ] | None -> [])
-          @ [ bad_update ]
+          insertions d e s @ [ bad_update ]
         in
         match Engine.apply_group e us with
         | Ok _ -> QCheck2.Test.fail_reportf "invalid group accepted"

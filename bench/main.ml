@@ -1112,46 +1112,80 @@ let xpath_cache () =
         ])
     (sizes ())
 
-(* ---------- xpath_passes: cold evaluation, pass by pass ---------- *)
+(* ---------- xpath_passes: cold evaluation per plan ---------- *)
 
-(* The two passes of Dag_eval timed apart on cold tables, per delete plan
-   of each class: the bottom-up DP over L, and the top-down refinement
-   that reads it (through M for W1's //c[cid=..]). table_words is the
-   size of the filled tables (Obj.reachable_words). *)
+(* [p] with every value filter [cid = V] replaced by [sub/c] *)
+let rec no_anchor (p : Ast.path) =
+  let rec filter = function
+    | Ast.Eq (Ast.Label "cid", _) ->
+        Ast.Exists (Ast.Seq (Ast.Label "sub", Ast.Label "c"))
+    | Ast.Eq (q, s) -> Ast.Eq (no_anchor q, s)
+    | Ast.Exists q -> Ast.Exists (no_anchor q)
+    | Ast.Label_is _ as f -> f
+    | Ast.And (a, b) -> Ast.And (filter a, filter b)
+    | Ast.Or (a, b) -> Ast.Or (filter a, filter b)
+    | Ast.Not a -> Ast.Not (filter a)
+  in
+  match p with
+  | Ast.Seq (a, b) -> Ast.Seq (no_anchor a, no_anchor b)
+  | Ast.Where (a, q) -> Ast.Where (no_anchor a, filter q)
+  | Ast.Self | Ast.Label _ | Ast.Wildcard | Ast.Desc_or_self -> p
+
+(* Cold Dag_eval of the delete plans of each class, as a write runs
+   them on a cache miss: new tables, then the top-down pass, which
+   computes the cells it reads through the engine's reader (value
+   filters anchored at their cid node). Each plan is evaluated [reps]
+   times, each time on new tables; eval_ms is the median over all runs
+   of the class, cells the median per plan. The no_anchor class is the
+   W1 paths with each [cid = V] replaced by [sub/c]: its // step reads a
+   label row, one pass over L, and its filters compute cells at every c
+   below the root. *)
 let xpath_passes () =
-  let plans = 8 in
+  let plans = 8 and reps = 5 in
   header
     (Printf.sprintf
-       "xpath_passes: cold Dag_eval passes per delete plan (median of %d \
-        plans per class)"
-       plans)
-    [ "|C|"; "class"; "bottom_up_ms"; "top_down_ms"; "table_words" ];
+       "xpath_passes: cold Dag_eval per delete plan (median of %d plans x \
+        %d runs per class)"
+       plans reps)
+    [ "|C|"; "class"; "eval_ms"; "cells" ];
   let median l = List.nth (List.sort compare l) (List.length l / 2) in
   List.iter
     (fun n ->
       let _, e = engine_for n in
-      let src = Dag_eval.live_src e.Engine.store e.Engine.topo e.Engine.reach in
+      let src = Engine.live_src e in
+      let deletes cls =
+        List.map Xupdate.path_of
+          (Updates.deletions e.Engine.store cls ~count:plans ~seed:7)
+      in
       List.iter
-        (fun cls ->
+        (fun (name, paths) ->
           let runs =
             List.map
-              (fun u ->
-                let plan = Plan.compile (Xupdate.path_of u) in
-                let tb = Dag_eval.create_tables plan in
-                let (), bu = time (fun () -> Dag_eval.bottom_up_src src plan tb) in
-                let _, td = time (fun () -> Dag_eval.top_down_src src plan tb) in
-                (bu, td, Obj.reachable_words (Obj.repr tb)))
-              (Updates.deletions e.Engine.store cls ~count:plans ~seed:7)
+              (fun path ->
+                let plan = Plan.compile path in
+                List.init reps (fun _ ->
+                    let tb = Dag_eval.create_tables plan in
+                    let _, t =
+                      time (fun () -> Dag_eval.top_down_src src plan tb)
+                    in
+                    (t, Dag_eval.cells_computed tb)))
+              paths
           in
           row
             [
               string_of_int n;
-              Updates.cls_name cls;
-              Printf.sprintf "%.3f" (1000. *. median (List.map (fun (b, _, _) -> b) runs));
-              Printf.sprintf "%.3f" (1000. *. median (List.map (fun (_, t, _) -> t) runs));
-              string_of_int (median (List.map (fun (_, _, w) -> w) runs));
+              name;
+              Printf.sprintf "%.3f"
+                (1000. *. median (List.concat_map (List.map fst) runs));
+              string_of_int
+                (median (List.map (fun r -> snd (List.hd r)) runs));
             ])
-        [ Updates.W1; Updates.W2; Updates.W3 ])
+        [
+          ("W1", deletes Updates.W1);
+          ("W2", deletes Updates.W2);
+          ("W3", deletes Updates.W3);
+          ("no_anchor", List.map no_anchor (deletes Updates.W1));
+        ])
     (sizes ())
 
 (* ---------- translate: insertion translation, cold vs cached ---------- *)

@@ -46,11 +46,10 @@ type report = {
 exception Would_cycle
 
 (* What the repairs of one ΔR changed, for [Eval_cache.invalidate]: the
-   parents that gained or lost a child (a DP row depends only on its
-   node's descendants, so these and their ancestors, which follow from
-   M, are the rows that may differ), the nodes created or deleted (only
-   so that the text memos forget their ids), and the slots the cascades
-   freed. *)
+   parents that gained or lost a child and the nodes created (a DP cell
+   depends only on its node's descendants, so these and their
+   ancestors, which follow from M, are the slots that may differ), and
+   the slots the cascades freed. *)
 type dirt = { mutable touched : int list; mutable freed : int list }
 
 (* [parent]'s star rule re-evaluated against [db]: each child attribute
@@ -116,8 +115,6 @@ let reconcile (atg : Atg.t) (db : Database.t) (store : Store.t) (l : Topo.t)
               touch parent;
               let st = Maintain.on_delete store l m ~targets:[ c ] in
               deleted := !deleted + List.length st.Maintain.deleted_nodes;
-              dirt.touched <-
-                List.rev_append st.Maintain.deleted_nodes dirt.touched;
               dirt.freed <- List.rev_append st.Maintain.deleted_slots dirt.freed
             end)
           (Store.children store parent))

@@ -1,19 +1,23 @@
-(** Two-pass evaluation of XPath on a DAG-compressed view (Section 3.2).
+(** Two-pass evaluation of XPath on a DAG-compressed view (Section 3.2),
+    with the bottom-up pass computed only where it is read.
 
-    The bottom-up pass computes, for nodes v (in the leaves-first
-    topological order L) and every suffix of every path filter, whether the
-    suffix can be satisfied starting at v — the paper's val(q, v) — and,
-    through the // recurrence, desc(q, v). Filters are processed in
-    sub-expression (topological Q) order, so every value needed is
-    available when read: dynamic programming over L × Q.
+    The paper's bottom-up pass fills, for every node v of L and every
+    suffix of every path filter, whether the suffix can be satisfied
+    starting at v — val(q, v) and, through the // recurrence,
+    desc(q, v). Here no pass runs over L for that: a cell (filter,
+    suffix, node) is computed the first time the top-down pass, a filter
+    or the [//] route asks for it, by the same recurrence over the
+    node's children, and memoized. Each row keeps its cells in two
+    bitsets over node slots, [known] and [value], and a known cell is
+    always exact.
 
-    A row is computed only at the label all of its readers look at. A
-    gate table, built once per plan, names that label: row i after a
-    label step [a] (unless step i is [//], whose recurrence reads the row
-    at children of any label), the rows after a filter step that follows
-    such a label, and row 0 when every reference to the filter sits after
-    the same label. A gated row's bits at other labels are stale and
-    never read.
+    Anchors. A value filter [l = "s"] whose label's nodes are childless
+    text nodes holds at exactly the parents of the l nodes whose text is
+    s. The {!src} names those nodes when it has a lookup for l
+    ([s_text_nodes]); in an ATG view there is at most one. A label or
+    [*] step followed by a filter with such a conjunct takes its
+    candidates from those parents instead of the frontier's children,
+    and so does the [//] route below.
 
     The top-down pass computes the forward frontiers C_i, refines them
     backwards into B_i (nodes on *successful* matches), and derives
@@ -36,28 +40,28 @@
     A [//] step followed by a label step [a] is answered through M, as
     the paper's top-down pass answers descendant questions, instead of a
     walk: the a nodes below C_i are the candidates whose ancestor row
-    meets C_i. Candidates are bits the tables hold on live and snapshot
-    reads alike: the next filter's row 0 when that filter has a path
-    conjunct, else a label row for [a] that the bottom-up pass fills. A
-    candidate counts only if its slot's occupant has label [a]. B_{i+1}
-    is then refined backwards through parents. The walk stays for a [//]
-    followed by [*], by a filter, or by nothing.
+    meets C_i. The candidates are the anchored parents when the filter
+    after the label step has an anchored conjunct, else a label row for
+    [a]: one pass over L when the tables are new, patched at the dirty
+    slots after an update. B_{i+1} is then refined backwards through
+    parents. The walk stays for a [//] followed by [*], by a filter, or
+    by nothing.
 
-    Both passes stay O(|p|·|V|) in the worst case; the gates and the M
-    route make them pay only for what a plan reads.
+    A plan computes at most the cells the full bottom-up DP would, so
+    the worst case stays O(|p|·|V|); a plan whose value filters are
+    anchored pays for the nodes its path touches.
 
     Value filters (p = "s") compare the XPath string value. Comparing
     every node's full text would be quadratic, so equality is decided by a
     text-length DP with on-demand bounded materialization.
 
-    Paths execute as compiled {!Plan.t} opcodes, and the two passes are
-    decoupled through the {!tables} type so that {!Eval_cache} can keep
-    the bottom-up tables alive across queries: a cache hit replays only
-    the top-down refinement, and after an update only the dirty rows
-    (changed nodes and their ancestors) are recomputed with
-    {!revalidate_src}.
+    Paths execute as compiled {!Plan.t} opcodes, and the memoized cells
+    live in a {!tables} value so that {!Eval_cache} can keep them across
+    queries: a cache hit replays nothing, and after an update {!forget}
+    drops the cells and text lengths of the dirty slots (changed nodes
+    and their ancestors) before the top-down pass runs again.
 
-    Both passes read the view through a {!src} record — a first-class
+    The passes read the view through a {!src} record — a first-class
     reader over (store, L, M). {!live_src} binds it to the mutable
     structures; {!view_src} binds it to the frozen views of
     {!Store.freeze}/{!Topo.freeze}/{!Reach.freeze}, which is how MVCC
@@ -88,6 +92,8 @@ type result = {
 
 (* ---- the view reader ---- *)
 
+type text_nodes = string -> string -> int list option
+
 type src = {
   s_node : int -> Store.node;
   s_children : int -> int list;
@@ -98,9 +104,15 @@ type src = {
   s_id_of_slot : int -> int option;
   s_anc_intersects : int -> Bitset.t -> bool;  (** by node id *)
   s_union_row_into : int -> dst:Bitset.t -> unit;  (** by node id *)
+  s_text_nodes : text_nodes;
+      (** for a label whose nodes are childless text nodes, the ones whose
+          text is the given string; [None] for other labels *)
 }
 
-let live_src (store : Store.t) (l : Topo.t) (m : Reach.t) : src =
+let no_text_nodes _ _ = None
+
+let live_src ?(text_nodes = no_text_nodes) (store : Store.t) (l : Topo.t)
+    (m : Reach.t) : src =
   {
     s_node = (fun id -> Store.node store id);
     s_children = (fun id -> Store.children store id);
@@ -111,9 +123,11 @@ let live_src (store : Store.t) (l : Topo.t) (m : Reach.t) : src =
     s_id_of_slot = (fun slot -> Store.id_of_slot store slot);
     s_anc_intersects = (fun id bits -> Reach.anc_intersects m id bits);
     s_union_row_into = (fun id ~dst -> Reach.union_row_into m id ~dst);
+    s_text_nodes = text_nodes;
   }
 
-let view_src (sv : Store.view) (tv : Topo.view) (rv : Reach.view) : src =
+let view_src ~text_nodes (sv : Store.view) (tv : Topo.view) (rv : Reach.view) :
+    src =
   let slot_of id = (Store.view_node sv id).Store.slot in
   {
     s_node = (fun id -> Store.view_node sv id);
@@ -127,195 +141,57 @@ let view_src (sv : Store.view) (tv : Topo.view) (rv : Reach.view) : src =
       (fun id bits -> Reach.view_anc_intersects rv (slot_of id) bits);
     s_union_row_into =
       (fun id ~dst -> Reach.view_union_row_into rv (slot_of id) ~dst);
+    s_text_nodes = text_nodes;
   }
 
-(* ---- text equality via length DP ----
+module Itbl = Store.Itbl
 
-   Lengths saturate at [cap] + 1, where [cap] is the longest string the
-   plan compares with: a comparison needs the exact length only up to
-   there, so a node's sum over its children stops as soon as it passes
-   [cap], and a node with many children (the root) costs O(cap) lookups
-   rather than one per child. A childless node's length is its own
-   text's, so only nodes with children are memoized. *)
+module IdSet = struct
+  type t = unit Itbl.t
 
-let rec text_len src lens ~cap id =
-  match Hashtbl.find_opt lens id with
-  | Some l -> l
-  | None -> (
-      let n = src.s_node id in
-      let own =
-        match n.Store.text with Some s -> String.length s | None -> 0
-      in
-      match src.s_children id with
-      | [] -> min own (cap + 1)
-      | kids ->
-          let l = sum_text_lens src lens ~cap own kids in
-          Hashtbl.replace lens id l;
-          l)
+  let create () : t = Itbl.create 64
+  let add (s : t) id = Itbl.replace s id ()
+  let mem (s : t) id = Itbl.mem s id
+  let iter f (s : t) = Itbl.iter (fun id () -> f id) s
+  let cardinal (s : t) = Itbl.length s
+  let to_list (s : t) = Itbl.fold (fun id () acc -> id :: acc) s []
+  let of_list ids =
+    let s = create () in
+    List.iter (add s) ids;
+    s
+end
 
-and sum_text_lens src lens ~cap acc = function
-  | c :: rest when acc <= cap ->
-      sum_text_lens src lens ~cap (acc + text_len src lens ~cap c) rest
-  | _ -> min acc (cap + 1)
+(* ---- tables ----
 
-let text_eq src lens ~cap id s =
-  if text_len src lens ~cap id <> String.length s then false
-  else begin
-    let buf = Buffer.create (String.length s) in
-    let rec go id =
-      let n = src.s_node id in
-      (match n.Store.text with
-      | Some t -> Buffer.add_string buf t
-      | None -> ());
-      List.iter go (src.s_children id)
-    in
-    go id;
-    String.equal (Buffer.contents buf) s
-  end
-
-(* ---- gates: where each row is read ----
-
-   Row i of a filter is read by row i − 1 and, when step i is [//], by
-   its own recurrence at children of any label; row 0 is read wherever
-   the filter is referenced. After a label step [a] every reader looks
-   at [a] nodes only, so the row is computed at [a] nodes only and its
-   bits at other labels are never read. Label ids index the plan's
-   [labels]; -1 stands for "any label". *)
-
-(* the label of every node reached after steps 0..j−1, given the label
-   [at0] of the node the steps start from *)
-let rec lead steps ~at0 j =
-  if j = 0 then at0
-  else
-    match steps.(j - 1) with
-    | Plan.S_label a -> a
-    | Plan.S_filter _ -> lead steps ~at0 (j - 1)
-    | Plan.S_wild | Plan.S_desc -> -1
-
-let row_gate steps ~at0 i =
-  if i < Array.length steps && steps.(i) = Plan.S_desc then -1
-  else lead steps ~at0 i
-
-let rec iter_paths f = function
-  | Plan.F_path k -> f k
-  | Plan.F_and (x, y) | Plan.F_or (x, y) ->
-      iter_paths f x;
-      iter_paths f y
-  | Plan.F_not x -> iter_paths f x
-  | Plan.F_label _ -> ()
-
-(* a filter k such that q implies row 0 of k, or -1 *)
-let rec path_conjunct = function
-  | Plan.F_path k -> k
-  | Plan.F_and (x, y) ->
-      let k = path_conjunct x in
-      if k >= 0 then k else path_conjunct y
-  | Plan.F_label _ | Plan.F_or _ | Plan.F_not _ -> -1
-
-(* gate.(k).(i): the label at which row i of filter k is computed. Row 0
-   is gated at a label when every reference to filter k sits after it.
-   References point from later filters and the outer path to earlier
-   filters, so filters are gated last to first. *)
-let gates (p : Plan.t) =
-  let npf = Array.length p.Plan.pfilters in
-  (* -2 until the first reference is seen *)
-  let row0 = Array.make npf (-2) in
-  let note_refs steps ~at0 =
-    Array.iteri
-      (fun j -> function
-        | Plan.S_filter q ->
-            let r = lead steps ~at0 j in
-            iter_paths
-              (fun k ->
-                row0.(k) <- (if row0.(k) = -2 || row0.(k) = r then r else -1))
-              q
-        | Plan.S_label _ | Plan.S_wild | Plan.S_desc -> ())
-      steps
-  in
-  note_refs p.Plan.outer ~at0:(-1);
-  let gate = Array.make npf [||] in
-  for k = npf - 1 downto 0 do
-    let steps = p.Plan.pfilters.(k).Plan.steps in
-    let at0 = max row0.(k) (-1) in
-    gate.(k) <- Array.init (Array.length steps + 1) (row_gate steps ~at0);
-    note_refs steps ~at0
-  done;
-  gate
-
-(* ---- bottom-up tables ---- *)
-
-(* sat.(k).(i) : per path-filter k and suffix start i, a bitset over node
-   slots; bit set ⟺ steps i..n of filter k are satisfiable at the node.
-   A row gated at a label holds that at the label's nodes; its bits at
-   other labels and at freed slots are stale.
-   lens memoizes the text-length DP of nodes with children, keyed by node
-   id, saturated at len_cap + 1 (len_cap: the plan's longest comparison
-   string). [revalidate_src] forgets the length of each row it
-   recomputes, just before recomputing it, since the node's subtree text
-   may have changed; pure recomputation repopulates it on demand. *)
+   known.(k).(i) and value.(k).(i): per path filter k and suffix start i,
+   bitsets over node slots. A set [known] bit means the [value] bit says
+   whether steps i..n of filter k can be satisfied at the slot's node.
+   The last cell of an existence filter always holds and is not stored.
+   lens memoizes the text-length DP of nodes with children, by slot,
+   saturated at len_cap + 1 (len_cap: the plan's longest comparison
+   string). label_rows holds (a, the slots of a nodes) for each label a
+   a [//] route has read without an anchor. [forget] drops all three at
+   a slot whose node or subtree may have changed. *)
 type tables = {
-  sat : Bitset.t array array;
-  gate : int array array;  (** see {!gates} *)
-  label_rows : (int * Bitset.t) array;
-      (** (a, the slots of a nodes), for each label a that a [//] route
-          reads and no filter row covers; like a gated row, stale at
-          other labels and at freed slots *)
-  route : (int * Bitset.t) option array;
-      (** for an outer [//] at i followed by a label step a:
-          [Some (a, bits)], where [bits] is a label row for a, or row 0
-          of a path conjunct of the filter after the label step; either
-          way its bits at a nodes cover every a node the route keeps *)
-  computes_at : bool array;
-      (** index a + 1: does some row compute at label a (index 0: at
-          labels the plan does not name)? *)
-  lens : (int, int) Hashtbl.t;
+  known : Bitset.t array array;
+  value : Bitset.t array array;
+  lens : int Itbl.t;
   len_cap : int;
+  mutable label_rows : (int * Bitset.t) list;
+  mutable cells : int;  (** cells computed so far *)
 }
 
 let create_tables (p : Plan.t) =
-  let sat =
+  let rows () =
     Array.map
       (fun pf ->
         Array.init (Array.length pf.Plan.steps + 1) (fun _ -> Bitset.create ()))
       p.Plan.pfilters
   in
-  let gate = gates p in
-  let outer = p.Plan.outer in
-  let n = Array.length outer in
-  let label_rows = ref [] in
-  let label_row a =
-    match List.assoc_opt a !label_rows with
-    | Some bits -> bits
-    | None ->
-        let bits = Bitset.create () in
-        label_rows := (a, bits) :: !label_rows;
-        bits
-  in
-  let step j = if j < n then Some outer.(j) else None in
-  let route =
-    Array.init n (fun i ->
-        match (outer.(i), step (i + 1), step (i + 2)) with
-        | Plan.S_desc, Some (Plan.S_label a), Some (Plan.S_filter q)
-          when path_conjunct q >= 0 ->
-            Some (a, sat.(path_conjunct q).(0))
-        | Plan.S_desc, Some (Plan.S_label a), _ -> Some (a, label_row a)
-        | _ -> None)
-  in
-  let label_rows = Array.of_list !label_rows in
-  let computes_at =
-    Array.init
-      (Array.length p.Plan.labels + 1)
-      (fun x ->
-        Array.exists (Array.exists (fun g -> g = -1 || g = x - 1)) gate
-        || Array.exists (fun (a, _) -> a = x - 1) label_rows)
-  in
   {
-    sat;
-    gate;
-    label_rows;
-    route;
-    computes_at;
-    lens = Hashtbl.create 16;
+    known = rows ();
+    value = rows ();
+    lens = Itbl.create 16;
     len_cap =
       Array.fold_left
         (fun acc pf ->
@@ -323,138 +199,199 @@ let create_tables (p : Plan.t) =
           | Plan.T_text_eq s -> max acc (String.length s)
           | Plan.T_exists -> acc)
         0 p.Plan.pfilters;
+    label_rows = [];
+    cells = 0;
   }
 
-let drop_text_len tb id = Hashtbl.remove tb.lens id
-let reset_text_len tb = Hashtbl.reset tb.lens
+let cells_computed tb = tb.cells
 
-(* the plan's id for a node's label, or -1 *)
-let label_id (p : Plan.t) etype =
-  let rec go a =
-    if a < 0 || String.equal p.Plan.labels.(a) etype then a else go (a - 1)
-  in
-  go (Array.length p.Plan.labels - 1)
+(* ---- text equality via length DP ----
 
-let filter_holds (p : Plan.t) (tb : tables) src (q : Plan.filter) id : bool =
-  let rec go = function
-    | Plan.F_label a ->
-        String.equal (src.s_node id).Store.etype p.Plan.labels.(a)
-    | Plan.F_and (x, y) -> go x && go y
-    | Plan.F_or (x, y) -> go x || go y
-    | Plan.F_not x -> not (go x)
-    | Plan.F_path k -> Bitset.get tb.sat.(k).(0) (src.s_node id).Store.slot
-  in
-  go q
+   Lengths saturate at [len_cap] + 1: a comparison needs the exact
+   length only up to there, so a node's sum over its children stops as
+   soon as it passes [len_cap], and a node with many children (the root)
+   costs O(len_cap) lookups rather than one per child. A childless
+   node's string value is its own text, compared directly. *)
 
-(* is some child's bit set in [row] — of a child labeled [name], for
-   [some_kid_named]? *)
-let rec some_kid src row = function
+let own_text (n : Store.node) =
+  match n.Store.text with Some s -> s | None -> ""
+
+let rec text_len src tb id =
+  let n = src.s_node id in
+  match src.s_children id with
+  | [] -> min (String.length (own_text n)) (tb.len_cap + 1)
+  | kids -> (
+      match Itbl.find_opt tb.lens n.Store.slot with
+      | Some l -> l
+      | None ->
+          let l = sum_text_lens src tb (String.length (own_text n)) kids in
+          Itbl.replace tb.lens n.Store.slot l;
+          l)
+
+and sum_text_lens src tb acc = function
+  | c :: rest when acc <= tb.len_cap ->
+      sum_text_lens src tb (acc + text_len src tb c) rest
+  | _ -> min acc (tb.len_cap + 1)
+
+let text_eq src tb (n : Store.node) s =
+  match src.s_children n.Store.id with
+  | [] -> String.equal (own_text n) s
+  | _ ->
+      text_len src tb n.Store.id = String.length s
+      &&
+      let buf = Buffer.create (String.length s) in
+      let rec go id =
+        Buffer.add_string buf (own_text (src.s_node id));
+        List.iter go (src.s_children id)
+      in
+      go n.Store.id;
+      String.equal (Buffer.contents buf) s
+
+(* ---- cells, computed where they are read ----
+
+   [cell p tb src k i n]: can steps i..n of filter k be satisfied at
+   node [n]? The recurrence of the paper's bottom-up pass, over [n]'s
+   children, memoized in [known]/[value]. A cell reads only cells of
+   [n] and its descendants, so it is exact for as long as no node below
+   [n] changes. *)
+
+let rec cell (p : Plan.t) tb src k i (n : Store.node) =
+  let pf = p.Plan.pfilters.(k) in
+  let last = i = Array.length pf.Plan.steps in
+  match pf.Plan.target with
+  | Plan.T_exists when last -> true
+  | target ->
+      let slot = n.Store.slot in
+      if Bitset.get tb.known.(k).(i) slot then Bitset.get tb.value.(k).(i) slot
+      else begin
+        let holds =
+          match target with
+          | Plan.T_text_eq s when last -> text_eq src tb n s
+          | Plan.T_exists | Plan.T_text_eq _ -> step_holds p tb src k i n
+        in
+        Bitset.set tb.known.(k).(i) slot;
+        if holds then Bitset.set tb.value.(k).(i) slot
+        else Bitset.clear tb.value.(k).(i) slot;
+        tb.cells <- tb.cells + 1;
+        holds
+      end
+
+(* the recurrence for step i of filter k at [n] *)
+and step_holds p tb src k i n =
+  match p.Plan.pfilters.(k).Plan.steps.(i) with
+  | Plan.S_filter q -> filter_holds p tb src q n && cell p tb src k (i + 1) n
+  | Plan.S_label a ->
+      some_kid_named p tb src k (i + 1) p.Plan.labels.(a)
+        (src.s_children n.Store.id)
+  | Plan.S_wild -> some_kid p tb src k (i + 1) (src.s_children n.Store.id)
+  | Plan.S_desc ->
+      cell p tb src k (i + 1) n
+      || some_kid p tb src k i (src.s_children n.Store.id)
+
+(* does some child (labeled [name], for [some_kid_named]) satisfy steps
+   i..n of filter k? *)
+and some_kid p tb src k i = function
   | [] -> false
-  | u :: rest ->
-      Bitset.get row (src.s_node u).Store.slot || some_kid src row rest
+  | u :: rest -> cell p tb src k i (src.s_node u) || some_kid p tb src k i rest
 
-let rec some_kid_named src row name = function
+and some_kid_named p tb src k i name = function
   | [] -> false
   | u :: rest ->
       let nu = src.s_node u in
-      (String.equal nu.Store.etype name && Bitset.get row nu.Store.slot)
-      || some_kid_named src row name rest
+      (String.equal nu.Store.etype name && cell p tb src k i nu)
+      || some_kid_named p tb src k i name rest
 
-(* recompute the rows gated at node [n]'s label (label id [lbl]) and the
-   ungated ones, absolutely: bits are cleared as well as set, so the same
-   code serves the initial fill (clears are no-ops on fresh bitsets) and
-   dirty-row revalidation after updates *)
-let recompute_node (p : Plan.t) (tb : tables) src (n : Store.node) lbl kids =
-  let v = n.Store.id and slot = n.Store.slot in
-  for j = 0 to Array.length tb.label_rows - 1 do
-    let a, bits = tb.label_rows.(j) in
-    if a = lbl then Bitset.set bits slot
-  done;
-  for k = 0 to Array.length p.Plan.pfilters - 1 do
-    let pf = p.Plan.pfilters.(k) in
-    let steps = pf.Plan.steps and gate = tb.gate.(k) and rows = tb.sat.(k) in
-    for i = Array.length steps downto 0 do
-      if gate.(i) = -1 || gate.(i) = lbl then begin
-        let holds =
-          if i = Array.length steps then
-            match pf.Plan.target with
-            | Plan.T_exists -> true
-            | Plan.T_text_eq s -> text_eq src tb.lens ~cap:tb.len_cap v s
-          else
-            match steps.(i) with
-            | Plan.S_filter q ->
-                filter_holds p tb src q v && Bitset.get rows.(i + 1) slot
-            | Plan.S_label a ->
-                some_kid_named src rows.(i + 1) p.Plan.labels.(a) kids
-            | Plan.S_wild -> some_kid src rows.(i + 1) kids
-            | Plan.S_desc ->
-                Bitset.get rows.(i + 1) slot || some_kid src rows.(i) kids
-        in
-        if holds then Bitset.set rows.(i) slot else Bitset.clear rows.(i) slot
-      end
-    done
-  done
+and filter_holds (p : Plan.t) tb src (q : Plan.filter) (n : Store.node) =
+  match q with
+  | Plan.F_label a -> String.equal n.Store.etype p.Plan.labels.(a)
+  | Plan.F_and (x, y) -> filter_holds p tb src x n && filter_holds p tb src y n
+  | Plan.F_or (x, y) -> filter_holds p tb src x n || filter_holds p tb src y n
+  | Plan.F_not x -> not (filter_holds p tb src x n)
+  | Plan.F_path k -> cell p tb src k 0 n
 
-let bottom_up_src (src : src) (p : Plan.t) (tb : tables) : unit =
-  src.s_iter_topo (fun v ->
-      let n = src.s_node v in
-      let lbl = label_id p n.Store.etype in
-      if tb.computes_at.(lbl + 1) then
-        recompute_node p tb src n lbl (src.s_children v))
-
-(* Recompute only the rows whose slot is in [dirty], by a post-order
-   walk over children restricted to the dirty set: a dirty node is
-   recomputed after its dirty children, and its clean children's rows are
-   valid as they stand. Rows of clean nodes are untouched: the dirty set
-   must contain every node whose sat value can have changed (the changed
-   nodes and all their ancestors — a node's value depends only on its
-   descendants). A dirty slot with no occupant (freed, not yet reused)
-   has no row to recompute. A dirty node's text length is forgotten
-   before its row is recomputed: its dirty descendants have been
-   re-measured by then, and a clean node's subtree text is unchanged.
-   Returns the number of rows recomputed. *)
-let revalidate_src (src : src) (p : Plan.t) (tb : tables)
-    ~(dirty : Bitset.t) : int =
-  let done_ = Bitset.create () in
-  let rows = ref 0 in
-  let rec visit (n : Store.node) =
-    Bitset.set done_ n.Store.slot;
-    let kids = src.s_children n.Store.id in
-    visit_dirty kids;
-    Hashtbl.remove tb.lens n.Store.id;
-    recompute_node p tb src n (label_id p n.Store.etype) kids;
-    incr rows
-  and visit_dirty = function
-    | [] -> ()
-    | u :: rest ->
-        let nu = src.s_node u in
-        let su = nu.Store.slot in
-        if Bitset.get dirty su && not (Bitset.get done_ su) then visit nu;
-        visit_dirty rest
-  in
+(* Forget the cells and text lengths at the slots in [dirty], and patch
+   the label rows there. Sound when [dirty] holds every slot whose node
+   or subtree may have changed: the nodes whose children changed, their
+   ancestors, new nodes and freed slots. A cell or length depends only on
+   its node's descendants, so every other one stays exact. *)
+let forget src (p : Plan.t) tb ~(dirty : Bitset.t) =
+  Array.iter
+    (Array.iter (fun known -> Bitset.diff_into ~dst:known dirty))
+    tb.known;
   Bitset.iter_bits dirty (fun slot ->
-      if not (Bitset.get done_ slot) then
-        match src.s_id_of_slot slot with
-        | Some v -> visit (src.s_node v)
-        | None -> ());
-  !rows
+      Itbl.remove tb.lens slot;
+      match tb.label_rows with
+      | [] -> ()
+      | rows ->
+          let label =
+            Option.map
+              (fun v -> (src.s_node v).Store.etype)
+              (src.s_id_of_slot slot)
+          in
+          List.iter
+            (fun (a, bits) ->
+              match label with
+              | Some l when String.equal l p.Plan.labels.(a) ->
+                  Bitset.set bits slot
+              | Some _ | None -> Bitset.clear bits slot)
+            rows)
+
+(* the slots of the a nodes, by one pass over L the first time a route
+   reads them *)
+let label_row src (p : Plan.t) tb a =
+  match List.assoc_opt a tb.label_rows with
+  | Some bits -> bits
+  | None ->
+      let name = p.Plan.labels.(a) in
+      let bits = Bitset.create () in
+      src.s_iter_topo (fun v ->
+          let n = src.s_node v in
+          if String.equal n.Store.etype name then Bitset.set bits n.Store.slot);
+      tb.label_rows <- (a, bits) :: tb.label_rows;
+      bits
+
+(* ---- anchors ---- *)
+
+(* the text nodes of an anchored conjunct of [q]: a filter [l = "s"]
+   among q's conjuncts whose label [src] has a text lookup for *)
+let rec anchor (p : Plan.t) src = function
+  | Plan.F_path k -> (
+      match p.Plan.pfilters.(k) with
+      | { Plan.steps = [| Plan.S_label l |]; target = Plan.T_text_eq s } ->
+          src.s_text_nodes p.Plan.labels.(l) s
+      | _ -> None)
+  | Plan.F_and (x, y) -> (
+      match anchor p src x with Some _ as r -> r | None -> anchor p src y)
+  | Plan.F_label _ | Plan.F_or _ | Plan.F_not _ -> None
+
+(* when step j is a filter with an anchored conjunct: the parents of its
+   text nodes, a superset of the nodes the filter keeps *)
+let anchored_parents (p : Plan.t) src j =
+  if j >= Array.length p.Plan.outer then None
+  else
+    match p.Plan.outer.(j) with
+    | Plan.S_filter q ->
+        Option.map
+          (fun texts ->
+            let s = IdSet.create () in
+            List.iter
+              (fun t -> List.iter (IdSet.add s) (src.s_parents t))
+              texts;
+            s)
+          (anchor p src q)
+    | Plan.S_label _ | Plan.S_wild | Plan.S_desc -> None
+
+(* the label a when step i is a [//] followed by a label step a: the
+   step is answered through M *)
+let route (p : Plan.t) i =
+  match p.Plan.outer.(i) with
+  | Plan.S_desc when i + 1 < Array.length p.Plan.outer -> (
+      match p.Plan.outer.(i + 1) with
+      | Plan.S_label a -> Some a
+      | Plan.S_filter _ | Plan.S_wild | Plan.S_desc -> None)
+  | Plan.S_desc | Plan.S_filter _ | Plan.S_label _ | Plan.S_wild -> None
 
 (* ---- top-down pass ---- *)
-
-module IdSet = struct
-  type t = (int, unit) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-  let add (s : t) id = Hashtbl.replace s id ()
-  let mem (s : t) id = Hashtbl.mem s id
-  let iter f (s : t) = Hashtbl.iter (fun id () -> f id) s
-  let cardinal (s : t) = Hashtbl.length s
-  let to_list (s : t) = Hashtbl.fold (fun id () acc -> id :: acc) s []
-  let of_list ids =
-    let s = create () in
-    List.iter (add s) ids;
-    s
-end
 
 (* the slot set of an id set — queries against M become word-wise *)
 let slots_of src (s : IdSet.t) =
@@ -468,40 +405,62 @@ let slots_of src (s : IdSet.t) =
 let in_desc_or_self src (base : IdSet.t) base_bits id =
   IdSet.mem base id || src.s_anc_intersects id base_bits
 
+(* is some parent of [u] in [s]? *)
+let has_parent_in src (s : IdSet.t) u =
+  List.exists (IdSet.mem s) (src.s_parents u)
+
 let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
   let root = src.s_root () in
   let nsteps = Array.length p.Plan.outer in
   let outer = p.Plan.outer in
-  (* forward frontiers; frontier.(i) = C_i. A [//] at i with a route
-     (step i+1 is a label step a) leaves C_{i+1} empty and fills C_{i+2}
-     directly: the route's candidates whose slot holds an a (the bits
-     are stale elsewhere) and whose ancestor row in M meets C_i *)
+  (* forward frontiers; frontier.(i) = C_i. A routed [//] at i leaves
+     C_{i+1} empty and fills C_{i+2} directly: the candidates whose
+     ancestor row in M meets C_i. A label or [*] step followed by an
+     anchored filter fills C_{i+1} with only the anchored parents it
+     reaches; the filter step keeps what the full C_{i+1} would *)
   let frontier = Array.init (nsteps + 1) (fun _ -> IdSet.create ()) in
   IdSet.add frontier.(0) root;
   let i = ref 0 in
   while !i < nsteps do
     let prev = frontier.(!i) and next = frontier.(!i + 1) in
-    (match tb.route.(!i) with
-    | Some (a, cands) ->
-        let name = p.Plan.labels.(a) in
+    (match (route p !i, outer.(!i)) with
+    | Some a, _ ->
         let prev_bits = slots_of src prev in
         let after = frontier.(!i + 2) in
-        Bitset.iter_bits cands (fun slot ->
-            match src.s_id_of_slot slot with
-            | Some c
-              when String.equal (src.s_node c).Store.etype name
-                   && src.s_anc_intersects c prev_bits ->
-                IdSet.add after c
-            | Some _ | None -> ());
-        incr i
-    | None -> (
-        match outer.(!i) with
-        | Plan.S_filter q ->
-            IdSet.iter
-              (fun v -> if filter_holds p tb src q v then IdSet.add next v)
-              prev
-        | Plan.S_label a ->
+        (match anchored_parents p src (!i + 2) with
+        | Some cands ->
             let name = p.Plan.labels.(a) in
+            IdSet.iter
+              (fun c ->
+                if
+                  String.equal (src.s_node c).Store.etype name
+                  && src.s_anc_intersects c prev_bits
+                then IdSet.add after c)
+              cands
+        | None ->
+            Bitset.iter_bits (label_row src p tb a) (fun slot ->
+                match src.s_id_of_slot slot with
+                | Some c when src.s_anc_intersects c prev_bits ->
+                    IdSet.add after c
+                | Some _ | None -> ()));
+        incr i
+    | None, Plan.S_filter q ->
+        IdSet.iter
+          (fun v ->
+            if filter_holds p tb src q (src.s_node v) then IdSet.add next v)
+          prev
+    | None, Plan.S_label a -> (
+        let name = p.Plan.labels.(a) in
+        match anchored_parents p src (!i + 1) with
+        | Some cands ->
+            IdSet.iter
+              (fun u ->
+                if
+                  String.equal (src.s_node u).Store.etype name
+                  && has_parent_in src prev u
+                then IdSet.add next u)
+              cands
+        | None ->
             IdSet.iter
               (fun v ->
                 List.iter
@@ -509,19 +468,25 @@ let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
                     if String.equal (src.s_node u).Store.etype name then
                       IdSet.add next u)
                   (src.s_children v))
-              prev
-        | Plan.S_wild ->
+              prev)
+    | None, Plan.S_wild -> (
+        match anchored_parents p src (!i + 1) with
+        | Some cands ->
+            IdSet.iter
+              (fun u -> if has_parent_in src prev u then IdSet.add next u)
+              cands
+        | None ->
             IdSet.iter
               (fun v -> List.iter (IdSet.add next) (src.s_children v))
-              prev
-        | Plan.S_desc ->
-            let rec go u =
-              if not (IdSet.mem next u) then begin
-                IdSet.add next u;
-                List.iter go (src.s_children u)
-              end
-            in
-            IdSet.iter go prev));
+              prev)
+    | None, Plan.S_desc ->
+        let rec go u =
+          if not (IdSet.mem next u) then begin
+            IdSet.add next u;
+            List.iter go (src.s_children u)
+          end
+        in
+        IdSet.iter go prev);
     incr i
   done;
   (* backward refinement; back.(i) = B_i ⊆ C_i: nodes on successful
@@ -532,7 +497,7 @@ let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
     let bi1 = back.(i + 1) and bi = back.(i) in
     match outer.(i) with
     | Plan.S_filter _ -> IdSet.iter (IdSet.add bi) bi1
-    | Plan.S_label _ when i >= 1 && Option.is_some tb.route.(i - 1) ->
+    | Plan.S_label _ when i >= 1 && Option.is_some (route p (i - 1)) ->
         (* C_i = desc-or-self(C_{i-1}) was not built: B_i is the parents
            of B_{i+1} in it *)
         let base = frontier.(i - 1) in
@@ -545,11 +510,23 @@ let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
               (src.s_parents v))
           bi1
     | Plan.S_label _ | Plan.S_wild ->
-        IdSet.iter
-          (fun w ->
-            if List.exists (IdSet.mem bi1) (src.s_children w) then
-              IdSet.add bi w)
-          frontier.(i)
+        (* B_i = C_i ∩ parents(B_{i+1}), from whichever side is smaller:
+           a selective step leaves few nodes in B_{i+1}, while a node of
+           C_i such as the root can have a child per key *)
+        let ci = frontier.(i) in
+        if IdSet.cardinal bi1 <= IdSet.cardinal ci then
+          IdSet.iter
+            (fun v ->
+              List.iter
+                (fun w -> if IdSet.mem ci w then IdSet.add bi w)
+                (src.s_parents v))
+            bi1
+        else
+          IdSet.iter
+            (fun w ->
+              if List.exists (IdSet.mem bi1) (src.s_children w) then
+                IdSet.add bi w)
+            ci
     | Plan.S_desc ->
         (* w ∈ B_i iff w is an ancestor-or-self of some node of B_{i+1}:
            OR the targets' ancestor rows into one slot set, then each
@@ -697,9 +674,7 @@ let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
   }
 
 let eval_plan_src (src : src) (p : Plan.t) : result =
-  let tb = create_tables p in
-  bottom_up_src src p tb;
-  top_down_src src p tb
+  top_down_src src p (create_tables p)
 
 (** [eval store l m p] evaluates the XPath [p] from the root of the view.
     See {!result}. *)

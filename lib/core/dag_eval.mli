@@ -1,17 +1,21 @@
 (** Two-pass XPath evaluation on DAG-compressed views (Section 3.2).
 
-    Bottom-up: dynamic programming over the topological order L and the
-    sub-expression order of filters, computing the paper's val(q, v) and
-    (through the // recurrence) desc(q, v) per filter suffix. Each row is
-    computed only at the label all of its readers look at: the row after
-    a label step [a] (unless the next step is [//]), the rows after a
-    filter that follows such a label, and row 0 of a filter referenced
-    only after one label. Top-down: forward frontiers C_i, refined
-    backward into the nodes on successful matches, yielding r[[p]], the
-    arrival edges Ep(r) and the side-effect set S. A [//] step followed
-    by a label step [a] takes the [a] nodes below C_i from M, with
-    candidates from the next filter's row 0 or from a label row, instead
-    of walking the DAG. Both passes are O(|p|·|V|) in the worst case.
+    Bottom-up: the paper's dynamic program over L and the sub-expression
+    order of filters, computing val(q, v) and (through the // recurrence)
+    desc(q, v) per filter suffix — here cell by cell, each computed the
+    first time it is read and memoized; no pass runs over L for it.
+    Top-down: forward frontiers C_i, refined backward into the nodes on
+    successful matches, yielding r[[p]], the arrival edges Ep(r) and the
+    side-effect set S. A [//] step followed by a label step [a] takes
+    the [a] nodes below C_i from M instead of walking the DAG.
+
+    Anchors: a value filter [l = "s"] over a label whose nodes are
+    childless text nodes holds at exactly the parents of the l nodes
+    with text s. When the {!src} names those nodes, a label, [*] or
+    routed [//] step followed by such a filter starts from them instead
+    of from the frontier's children or from all [a] nodes. A plan with
+    anchored value filters pays for the nodes its path touches; the
+    worst case stays O(|p|·|V|).
 
     Value filters (p = "s") compare XPath string values via a text-length
     DP (lengths saturate just above the plan's longest comparison string)
@@ -23,11 +27,10 @@
     roles, but it never misses a deviating occurrence entering the matched
     region (property-tested soundness).
 
-    Paths execute as compiled {!Plan.t} opcodes. The two passes are
-    exposed separately, with the bottom-up DP state reified as {!tables},
-    so {!Eval_cache} can keep tables alive across queries and repair only
-    the dirty rows after an update ({!revalidate_src}). [eval] remains the
-    one-shot entry point: compile, fill, refine. *)
+    Paths execute as compiled {!Plan.t} opcodes. The memoized cells live
+    in {!tables}, so {!Eval_cache} can keep them across queries and, after
+    an update, {!forget} only the dirty slots' cells. [eval] remains the
+    one-shot entry point: compile, evaluate. *)
 
 module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
@@ -57,7 +60,8 @@ type result = {
 }
 
 val eval : Store.t -> Topo.t -> Reach.t -> Ast.path -> result
-(** evaluate from the root of the view *)
+(** evaluate from the root of the view, without a text lookup (no value
+    filter is anchored) *)
 
 (** {2 The view reader}
 
@@ -70,46 +74,45 @@ val eval : Store.t -> Topo.t -> Reach.t -> Ast.path -> result
 
 type src
 
-val live_src : Store.t -> Topo.t -> Reach.t -> src
-val view_src : Store.view -> Topo.view -> Reach.view -> src
+type text_nodes = string -> string -> int list option
+(** [text_nodes l s]: for a label [l] whose nodes are childless and
+    carry text, [Some] of the [l] nodes whose text is [s] (in an ATG
+    view, at most one); [None] for labels without a lookup. A lookup
+    must answer for the state the reader reads. *)
+
+val live_src : ?text_nodes:text_nodes -> Store.t -> Topo.t -> Reach.t -> src
+(** without [text_nodes], no value filter is anchored *)
+
+val view_src :
+  text_nodes:text_nodes -> Store.view -> Topo.view -> Reach.view -> src
 
 val eval_plan_src : src -> Plan.t -> result
 
-(** {2 Decoupled passes — the cacheable DP state}
+(** {2 Memoized cells — the cacheable DP state}
 
-    [tables] holds a plan's bottom-up state: its gate table, the
-    per-(filter, suffix) satisfiability bitsets over node slots (exact at
-    their gate label, stale elsewhere), the label rows its [//] steps
-    read, plus the memoized text lengths of nodes with children. Fill
-    with {!bottom_up_src}, answer with {!top_down_src}; after an update,
-    repair the rows of changed nodes and their ancestors, text lengths
-    included, with {!revalidate_src}. *)
+    [tables] holds a plan's cells: per (filter, suffix) two bitsets over
+    node slots, [known] and [value], where a known cell is exact; the
+    text lengths of nodes with children, by slot; and the label rows its
+    unanchored [//] steps read. {!top_down_src} computes whatever cells
+    it reads and leaves them in the tables. After an update, {!forget}
+    the dirty slots, then run {!top_down_src} again. *)
 
 type tables
 
 val create_tables : Plan.t -> tables
-(** empty tables shaped for the plan's filter suffixes, with the plan's
-    gate table *)
-
-val bottom_up_src : src -> Plan.t -> tables -> unit
-(** DP fill over L (leaves first), each row at its gate label *)
-
-val revalidate_src : src -> Plan.t -> tables -> dirty:Rxv_dag.Bitset.t -> int
-(** recompute only the rows whose slot is set in [dirty], children before
-    parents, in time proportional to the dirty rows and their edges (L is
-    not scanned); returns how many rows it recomputed. Sound iff [dirty]
-    covers every node whose sat value may have changed: the updated nodes
-    and all their ancestors (a node's row depends only on its
-    descendants), plus any slot whose occupant was removed. Each
-    recomputed row's text length is measured again. *)
+(** empty tables shaped for the plan's filter suffixes *)
 
 val top_down_src : src -> Plan.t -> tables -> result
-(** the top-down refinement, reading filled (or revalidated) tables *)
+(** the top-down pass; computes and memoizes each cell it reads *)
 
-val drop_text_len : tables -> int -> unit
-(** forget the memoized text length of one node (by id), e.g. of a
-    deleted node, whose entry no revalidation would free *)
+val forget : src -> Plan.t -> tables -> dirty:Rxv_dag.Bitset.t -> unit
+(** drop the cells and text lengths at the slots set in [dirty], and
+    patch the label rows there from [src]. Sound iff [dirty] covers
+    every slot whose node or subtree may have changed: the nodes whose
+    children changed and all their ancestors (a cell depends only on its
+    node's descendants), new nodes, and every slot whose occupant was
+    removed. Costs O(|dirty| + rows · |V|/63), never a pass over L. *)
 
-val reset_text_len : tables -> unit
-(** forget all memoized text lengths, e.g. when the ids may now name
-    other nodes *)
+val cells_computed : tables -> int
+(** cells computed in these tables so far (a memoized read is not
+    counted) *)

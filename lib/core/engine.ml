@@ -25,6 +25,7 @@ module Maintain = Rxv_dag.Maintain
 module Database = Rxv_relational.Database
 module Group_update = Rxv_relational.Group_update
 module Tuple = Rxv_relational.Tuple
+module Value = Rxv_relational.Value
 module Eval = Rxv_relational.Eval
 module Atg = Rxv_atg.Atg
 module Publish = Rxv_atg.Publish
@@ -39,6 +40,8 @@ type wal_hook = {
 
 type t = {
   atg : Atg.t;
+  text_types : (string, Value.ty) Hashtbl.t;
+      (** the anchorable pcdata types: see {!text_types} *)
   mutable db : Database.t;
   mutable store : Store.t;
   mutable topo : Topo.t;
@@ -98,6 +101,44 @@ let pp_rejection ppf = function
         (if n > rejection_id_preview then ", …" else "")
   | Untranslatable msg -> Fmt.pf ppf "untranslatable: %s" msg
 
+(* The pcdata types whose rule is [R_pcdata 0] over a one-field $A, with
+   that field's type. A node of such a type l is childless and its text
+   prints its $A, so the l nodes whose text is s are at most one: the
+   node of $A = (v), for the v that prints as s. Dag_eval anchors a
+   value filter [l = "s"] there. *)
+let text_types (atg : Atg.t) =
+  let tys = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun etype rule ->
+      match (rule, Hashtbl.find_opt atg.Atg.attr_tys etype) with
+      | Atg.R_pcdata 0, Some [| ty |] -> Hashtbl.replace tys etype ty
+      | _ -> ())
+    atg.Atg.rules;
+  tys
+
+(* the value of type [ty] that prints as [s], if any: "07" names no int *)
+let value_printing_as (ty : Value.ty) s =
+  let v =
+    match ty with
+    | Value.TInt -> Option.map Value.int (int_of_string_opt s)
+    | Value.TStr -> Some (Value.str s)
+    | Value.TBool -> Option.map Value.bool (bool_of_string_opt s)
+  in
+  match v with
+  | Some v when String.equal (Value.to_string v) s -> Some v
+  | Some _ | None -> None
+
+(* Dag_eval's text lookup over a node-identity lookup [find_id] *)
+let text_nodes text_types find_id : Dag_eval.text_nodes =
+ fun l s ->
+  match Hashtbl.find_opt text_types l with
+  | None -> None
+  | Some ty ->
+      Some
+        (match value_printing_as ty s with
+        | Some v -> Option.to_list (find_id l [| v |])
+        | None -> [])
+
 (* an engine around [store], with L and M built from it; [verb] says in
    the log line where the store came from *)
 let assemble ~verb ~seed (atg : Atg.t) (db : Database.t) (store : Store.t) =
@@ -108,6 +149,7 @@ let assemble ~verb ~seed (atg : Atg.t) (db : Database.t) (store : Store.t) =
         (Store.n_nodes store) (Store.n_edges store) (Reach.size reach));
   {
     atg;
+    text_types = text_types atg;
     db;
     store;
     topo;
@@ -158,9 +200,14 @@ let now () = Unix.gettimeofday ()
 
 (* All engine-level XPath evaluation funnels through the cache, inside a
    transaction frame too: every update of a group reuses warm tables and
-   repairs only the rows the earlier updates dirtied (see Eval_cache). *)
-let eval_path (e : t) path =
-  Eval_cache.query e.cache e.store e.topo e.reach path
+   forgets only the slots the earlier updates dirtied (see Eval_cache).
+   The reader anchors value filters over [text_types]. *)
+let live_src (e : t) =
+  Dag_eval.live_src
+    ~text_nodes:(text_nodes e.text_types (Store.find_id e.store))
+    e.store e.topo e.reach
+
+let eval_path (e : t) path = Eval_cache.query e.cache (live_src e) path
 
 let no_timings = { t_eval = 0.; t_translate = 0.; t_maintain = 0. }
 
@@ -213,16 +260,13 @@ let apply_delete (e : t) ~(policy : policy) path :
                   Maintain.on_delete e.store e.topo e.reach
                     ~targets:ev.Dag_eval.selected
                 in
-                (* stale DP rows: the arrival parents, whose children
+                (* stale DP cells: the arrival parents, whose children
                    lists shrank, with their ancestors, and the recycled
-                   slots of cascaded-away nodes. A row depends only on
+                   slots of cascaded-away nodes. A cell depends only on
                    its node's descendants, so the targets' subtrees keep
-                   theirs; the deleted ids only leave the text memos. *)
+                   theirs. *)
                 Eval_cache.invalidate e.cache ~store:e.store ~reach:e.reach
-                  ~touched:
-                    (List.rev_append
-                       (List.rev_map fst delta_v)
-                       mst.Maintain.deleted_nodes)
+                  ~touched:(List.rev_map fst delta_v)
                   ~freed_slots:mst.Maintain.deleted_slots;
                 let t_maintain = now () -. t2 in
                 Ok
@@ -324,7 +368,7 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
                         ~targets:ev.Dag_eval.selected
                         ~root_id:tr.Xupdate.subtree_root
                         ~new_nodes:tr.Xupdate.new_nodes;
-                      (* stale DP rows: the targets, which gained rA,
+                      (* stale DP cells: the targets, which gained rA,
                          with their ancestors, and the new nodes; the
                          common subtree nodes keep their descendants *)
                       Eval_cache.invalidate e.cache ~store:e.store
@@ -586,7 +630,11 @@ module Snapshot = struct
       store_view;
       topo_view;
       reach_view;
-      src = Dag_eval.view_src store_view topo_view reach_view;
+      src =
+        Dag_eval.view_src
+          ~text_nodes:
+            (text_nodes e.text_types (Store.view_find_text_node store_view))
+          store_view topo_view reach_view;
       generation = Eval_cache.generation e.cache;
       cache_counters = Eval_cache.counters e.cache;
       sat_counters = Vinsert.counters e.sat;

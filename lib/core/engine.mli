@@ -28,6 +28,11 @@ type wal_hook = {
 
 type t = {
   atg : Atg.t;
+  text_types : (string, Rxv_relational.Value.ty) Hashtbl.t;
+      (** the pcdata types whose rule is [R_pcdata 0] over a one-field
+          $A, with that field's type: a value filter over one of them
+          names at most one node, which {!Dag_eval} anchors the filter
+          at *)
   mutable db : Database.t;
   mutable store : Store.t;
   mutable topo : Topo.t;
@@ -108,10 +113,16 @@ val apply : ?policy:policy -> t -> Xupdate.t -> (report, rejection) result
 val query : t -> Rxv_xpath.Ast.path -> Dag_eval.result
 (** read-only XPath evaluation on the current view, served through the
     compiled-plan cache: repeated queries at an unchanged generation are
-    O(result), and after a small update only the dirty DP rows are
-    recomputed. Inside an open transaction frame the cache serves and
-    repairs entries as outside one; a path first read after the frame
-    wrote is evaluated fresh and not stored. *)
+    O(result), and after a small update only the dirty slots' cells are
+    forgotten and recomputed where read. Inside an open transaction
+    frame the cache serves and repairs entries as outside one; a path
+    first read after the frame wrote is evaluated fresh and not
+    stored. *)
+
+val live_src : t -> Dag_eval.src
+(** the reader {!query} evaluates through: the live store, L and M, with
+    the text lookup that anchors value filters over {!field-text_types}.
+    Valid until the next mutation. *)
 
 val to_tree : ?max_nodes:int -> t -> Rxv_xml.Tree.t
 (** materialize the current (uncompressed) view *)

@@ -2,18 +2,20 @@
 
     Soundness argument, in terms of the invariants maintained:
 
-    - [entry.gen_valid = t.generation] and [Bitset.is_empty entry.dirty]
-      ⟹ [entry.tables] equals a fresh bottom-up fill at every bit a
-      reader looks at (each row at the nodes of its gate label) and
-      [entry.result] equals a fresh eval, for the current store/L/M.
+    - Every cell an entry's tables know is exact for the state at
+      [entry.gen_valid] once the slots of [entry.dirty] are forgotten
+      ({!Dag_eval.forget}); with [entry.gen_valid = t.generation] and
+      [Bitset.is_empty entry.dirty], [entry.result] equals a fresh eval
+      for the current store/L/M.
     - Every structural mutation calls {!invalidate} (or
       {!invalidate_all}) after maintenance, bumping the generation and
       OR-ing the slots of the nodes whose children changed or that it
       created ∪ their ancestors' slots ∪ freed slots into every entry's
-      dirty set. A node's bottom-up value depends only on its
-      descendants, so rows outside the dirty set are unchanged —
-      {!Dag_eval.revalidate_src} over the dirty rows restores the first
-      invariant.
+      dirty set. A cell, a text length and a label-row bit depend only on
+      their node and its descendants, so those outside the dirty set are
+      unchanged: forgetting the dirty slots and running the top-down pass
+      again, which recomputes every cell it reads that is not known,
+      restores the first invariant.
     - The generation never goes back, so each generation names one
       state: an entry valid at [g] describes the state at [g], and a
       snapshot pinned at [g] may be served from it.
@@ -30,16 +32,14 @@
     - A miss fills a new entry only while no open frame has written.
       This is for memory, not soundness: a group's one-off delete paths
       would otherwise fill the LRU with entries no later read uses.
-    - Freed slots stay dirty until the next revalidation even if
+    - Freed slots stay dirty until the next read of each entry even if
       re-occupied: the store recycles slots only for new nodes, and new
       nodes are in the next update's touched set anyway.
 
-    The text-length memo needs nothing at abort: an id the abort frees
-    is in the touched list of whichever update creates it again, and
-    revalidation measures every row it recomputes again. *)
+    Text lengths are memoized by slot, like cells, so they are forgotten
+    with them and need nothing else, at abort or anywhere. *)
 
 module Store = Rxv_dag.Store
-module Topo = Rxv_dag.Topo
 module Reach = Rxv_dag.Reach
 module Bitset = Rxv_dag.Bitset
 module Ast = Rxv_xpath.Ast
@@ -51,7 +51,7 @@ type counters = {
   partials : int;
   evictions : int;
   invalidations : int;
-  recomputed_rows : int;
+  recomputed_cells : int;
 }
 
 type entry = {
@@ -74,7 +74,7 @@ type t = {
   mutable c_partials : int;
   mutable c_evictions : int;
   mutable c_invalidations : int;
-  mutable c_recomputed_rows : int;
+  mutable c_recomputed_cells : int;
   mutable frames : Bitset.t list;
       (** open transaction frames, innermost first: the rows each one's
           invalidations dirtied *)
@@ -96,7 +96,7 @@ let create ?(cap = default_cap) () =
     c_partials = 0;
     c_evictions = 0;
     c_invalidations = 0;
-    c_recomputed_rows = 0;
+    c_recomputed_cells = 0;
     frames = [];
     lock = Mutex.create ();
   }
@@ -110,7 +110,7 @@ let counters t =
     partials = t.c_partials;
     evictions = t.c_evictions;
     invalidations = t.c_invalidations;
-    recomputed_rows = t.c_recomputed_rows;
+    recomputed_cells = t.c_recomputed_cells;
   }
 
 let with_lock t f =
@@ -120,26 +120,21 @@ let with_lock t f =
 (* ---- invalidation ---- *)
 
 (* bump the generation and OR the rows [bits ()] into the innermost open
-   frame and every entry's dirty set, applying [text] to each entry's
-   tables. With no entry and no open frame nobody reads the rows. *)
-let dirty_rows t bits ~text =
+   frame and every entry's dirty set. With no entry and no open frame
+   nobody reads the rows. *)
+let dirty_rows t bits =
   t.c_invalidations <- t.c_invalidations + 1;
   t.generation <- t.generation + 1;
   if Hashtbl.length t.entries > 0 || t.frames <> [] then begin
     let bits = bits () in
     (match t.frames with f :: _ -> Bitset.union_into ~dst:f bits | [] -> ());
-    Hashtbl.iter
-      (fun _ e ->
-        Bitset.union_into ~dst:e.dirty bits;
-        text e.tables)
-      t.entries
+    Hashtbl.iter (fun _ e -> Bitset.union_into ~dst:e.dirty bits) t.entries
   end
 
 let invalidate t ~(store : Store.t) ~(reach : Reach.t) ~touched ~freed_slots
     =
   with_lock t (fun () ->
-      dirty_rows t
-        (fun () ->
+      dirty_rows t (fun () ->
           (* stale rows = touched nodes ∪ ancestors(touched) under the
              post-update M, plus any slot a deleted node vacated *)
           let bits = Bitset.create () in
@@ -151,19 +146,16 @@ let invalidate t ~(store : Store.t) ~(reach : Reach.t) ~touched ~freed_slots
               end)
             touched;
           List.iter (fun s -> Bitset.set bits s) freed_slots;
-          bits)
-        ~text:(fun tb -> List.iter (Dag_eval.drop_text_len tb) touched))
+          bits))
 
 let invalidate_all t ~slot_capacity =
   with_lock t (fun () ->
-      dirty_rows t
-        (fun () ->
+      dirty_rows t (fun () ->
           let bits = Bitset.create () in
           for s = 0 to slot_capacity - 1 do
             Bitset.set bits s
           done;
-          bits)
-        ~text:Dag_eval.reset_text_len)
+          bits))
 
 (* ---- transactions ---- *)
 
@@ -185,8 +177,7 @@ let abort t =
       | [] -> ()
       | f :: rest ->
           t.frames <- rest;
-          if not (Bitset.is_empty f) then
-            dirty_rows t (fun () -> f) ~text:ignore)
+          if not (Bitset.is_empty f) then dirty_rows t (fun () -> f))
 
 (* ---- lookup ---- *)
 
@@ -252,11 +243,12 @@ let run_query t (src : Dag_eval.src) ~pin path =
           end
           else begin
             t.c_partials <- t.c_partials + 1;
-            t.c_recomputed_rows <-
-              t.c_recomputed_rows
-              + Dag_eval.revalidate_src src e.plan e.tables ~dirty:e.dirty;
+            let cells = Dag_eval.cells_computed e.tables in
+            Dag_eval.forget src e.plan e.tables ~dirty:e.dirty;
             e.dirty <- Bitset.create ();
             let r = Dag_eval.top_down_src src e.plan e.tables in
+            t.c_recomputed_cells <-
+              t.c_recomputed_cells + Dag_eval.cells_computed e.tables - cells;
             e.result <- r;
             e.gen_valid <- t.generation;
             r
@@ -269,7 +261,6 @@ let run_query t (src : Dag_eval.src) ~pin path =
           t.c_misses <- t.c_misses + 1;
           evict_if_full t;
           let tables = Dag_eval.create_tables plan in
-          Dag_eval.bottom_up_src src plan tables;
           let r = Dag_eval.top_down_src src plan tables in
           Hashtbl.replace t.entries (Plan.key plan)
             {
@@ -287,8 +278,7 @@ let run_query t (src : Dag_eval.src) ~pin path =
           t.c_misses <- t.c_misses + 1;
           Dag_eval.eval_plan_src src plan)
 
-let query t store l m path =
-  run_query t (Dag_eval.live_src store l m) ~pin:None path
+let query t (src : Dag_eval.src) path = run_query t src ~pin:None path
 
 (** [query_src t src ~generation path]: an MVCC snapshot read — see
     {!run_query}. *)

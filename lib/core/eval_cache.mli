@@ -1,18 +1,16 @@
 (** Generation-keyed incremental result cache for compiled XPath plans.
 
-    Each entry keeps one plan's bottom-up DP tables ({!Dag_eval.tables})
-    and last result, stamped with the DAG generation it is valid at. The
+    Each entry keeps one plan's memoized cells ({!Dag_eval.tables}) and
+    last result, stamped with the DAG generation it is valid at. The
     engine bumps the generation on every structural mutation and reports
-    the nodes whose children changed; the cache dirties those nodes' rows
-    *and their ancestors'* (via the reachability matrix M — a node's
-    bottom-up value depends only on its descendants), so a later query
-    repairs just the dirty rows with {!Dag_eval.revalidate_src} and
-    replays the cheap top-down pass instead of re-running the bottom-up
-    DP over all of L. That DP computes each row only at its gate label,
-    and a [//] followed by a label step reads M instead of walking the
-    DAG, but both passes stay O(|p|·|V|) in the worst case. A dirty row
-    at a node outside its gate label is left as it is: its bits there
-    are never read.
+    the nodes whose children changed; the cache dirties those nodes'
+    slots *and their ancestors'* (via the reachability matrix M — a
+    cell depends only on its node's descendants). A later query forgets
+    the cells and text lengths of the dirty slots ({!Dag_eval.forget})
+    and runs the top-down pass again, which recomputes only the cells it
+    reads and finds unknown; no pass over L runs. Known cells are always
+    exact, so the soundness argument is just that: the cells of dirty
+    slots are forgotten, and every other cell is unchanged.
 
     Transactions: the generation never goes back. {!begin_}/{!commit}/
     {!abort} bracket a frame, and each open frame keeps one bitset, the
@@ -29,7 +27,6 @@
     bounded by [cap]; a lost entry is just a later miss. *)
 
 module Store = Rxv_dag.Store
-module Topo = Rxv_dag.Topo
 module Reach = Rxv_dag.Reach
 module Ast = Rxv_xpath.Ast
 
@@ -37,20 +34,23 @@ type t
 
 type counters = {
   hits : int;  (** full hits: cached result returned as-is *)
-  misses : int;  (** cold compiles + full DP fills *)
-  partials : int;  (** partial revalidations: dirty rows + top-down *)
+  misses : int;  (** cold plans: new tables + top-down *)
+  partials : int;  (** partial revalidations: forget dirty slots + top-down *)
   evictions : int;  (** LRU entry drops *)
   invalidations : int;  (** generation bumps (mutations seen) *)
-  recomputed_rows : int;  (** rows recomputed by partial revalidations *)
+  recomputed_cells : int;
+      (** cells the top-down pass computed again in partial
+          revalidations *)
 }
 
 val create : ?cap:int -> unit -> t
 (** [cap] bounds the number of cached plans (default 64, min 1) *)
 
-val query : t -> Store.t -> Topo.t -> Reach.t -> Ast.path -> Dag_eval.result
-(** evaluate through the cache. Full hit when the entry is current;
-    partial revalidation when only some rows are dirty; full fill on a
-    cold plan. A cold plan read after an open transaction frame has
+val query : t -> Dag_eval.src -> Ast.path -> Dag_eval.result
+(** evaluate through the cache, reading the live structures through
+    [src] ({!Dag_eval.live_src}). Full hit when the entry is current;
+    partial revalidation when some slots are dirty; new tables on a cold
+    plan. A cold plan read after an open transaction frame has
     invalidated is evaluated fresh and left uncached. *)
 
 val query_src : t -> Dag_eval.src -> generation:int -> Ast.path -> Dag_eval.result
@@ -71,16 +71,15 @@ val invalidate :
     (per the *post-update* M), plus the recycled [freed_slots].
     [touched] must hold every node whose children changed and every node
     the mutation created; the rows of other nodes below them keep their
-    values. Dead ids in [touched] contribute no row but still flush the
-    text-length memo. *)
+    values. Dead ids in [touched] contribute nothing. *)
 
 val invalidate_all : t -> slot_capacity:int -> unit
 (** conservative variant for when the touched set is unknown: dirty every
-    slot in [0, slot_capacity) and flush all text memos. Only two paths
+    slot in [0, slot_capacity). Only two paths
     need it: [Engine.reset_from], which installs a whole new state, and
     a base update rolled back for forming a cycle, whose repair runs the
-    garbage collector. The next read of each entry then recomputes every
-    row. *)
+    garbage collector. The next read of each entry then forgets every
+    cell. *)
 
 val begin_ : t -> unit
 (** open a (possibly nested) transaction frame *)

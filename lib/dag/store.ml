@@ -38,6 +38,21 @@ type edge_info = {
 
 module Imap = Map.Make (Int)
 
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end)
+
+(* (etype, $A) identities, for the frozen lookup of text-carrying nodes *)
+module Kmap = Map.Make (struct
+  type t = string * Tuple.t
+
+  let compare (a, x) (b, y) =
+    match String.compare a b with 0 -> Tuple.compare x y | c -> c
+end)
+
 (** Cached ascending-sorted image of one gen_A registry, with change
     stamps so callers (the insertion translator's skeleton cache) can
     reuse derived structures across updates: [gs_version] bumps on every
@@ -58,14 +73,14 @@ type t = {
   mutable next_slot : int;
   mutable free_slots : int list;
   ids : (string * Value.t list, int) Hashtbl.t;  (** gen_id memo table *)
-  nodes : (int, node) Hashtbl.t;
-  slot_ids : (int, int) Hashtbl.t;  (** slot -> node id *)
+  nodes : node Itbl.t;
+  slot_ids : int Itbl.t;  (** slot -> node id *)
   gen : (string, (int, unit) Hashtbl.t) Hashtbl.t;  (** gen_A registries *)
   genseq : (string, genseq) Hashtbl.t;
       (** lazily materialized sorted registries; only etypes someone has
           asked a {!gen_view} for are tracked *)
-  children : (int, int list ref) Hashtbl.t;  (** ordered adjacency *)
-  parents : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  children : int list ref Itbl.t;  (** ordered adjacency *)
+  parents : unit Itbl.t Itbl.t;
   edges : (int * int, edge_info) Hashtbl.t;
   mutable root : int;
   journal : Journal.t;
@@ -76,7 +91,10 @@ type t = {
   mutable c_children : int list Imap.t;
   mutable c_parents : int list Imap.t;
   mutable c_slots : int Imap.t;  (** slot -> node id, as of the last freeze *)
-  dirty : (int, unit) Hashtbl.t;
+  mutable c_texts : int Kmap.t;
+      (** (etype, $A) -> id of the text-carrying nodes, as of the last
+          freeze *)
+  dirty : unit Itbl.t;
       (** node ids whose record/adjacency possibly changed since the last
           {!freeze}; a superset is harmless *)
 }
@@ -91,12 +109,12 @@ let create () =
     next_slot = 0;
     free_slots = [];
     ids = Hashtbl.create 1024;
-    nodes = Hashtbl.create 1024;
-    slot_ids = Hashtbl.create 1024;
+    nodes = Itbl.create 1024;
+    slot_ids = Itbl.create 1024;
     gen = Hashtbl.create 16;
     genseq = Hashtbl.create 8;
-    children = Hashtbl.create 1024;
-    parents = Hashtbl.create 1024;
+    children = Itbl.create 1024;
+    parents = Itbl.create 1024;
     edges = Hashtbl.create 4096;
     root = -1;
     journal = Journal.create ();
@@ -104,10 +122,11 @@ let create () =
     c_children = Imap.empty;
     c_parents = Imap.empty;
     c_slots = Imap.empty;
-    dirty = Hashtbl.create 1024;
+    c_texts = Kmap.empty;
+    dirty = Itbl.create 1024;
   }
 
-let mark_dirty t id = Hashtbl.replace t.dirty id ()
+let mark_dirty t id = Itbl.replace t.dirty id ()
 
 (* genseq maintenance: called from every code path that changes a gen_A
    registry, including journal-undo closures (an undo of gen_id is a
@@ -151,12 +170,13 @@ let abort t = Journal.abort t.journal
 
 let recording t = Journal.recording t.journal
 
+(* the hot readers use [Itbl.find], which allocates no option *)
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> dag_error "unknown node id %d" id
+  match Itbl.find t.nodes id with
+  | n -> n
+  | exception Not_found -> dag_error "unknown node id %d" id
 
-let mem_node t id = Hashtbl.mem t.nodes id
+let mem_node t id = Itbl.mem t.nodes id
 
 (** [find_id t etype attr] is the existing id for (etype, attr), if any. *)
 let find_id t etype (attr : Tuple.t) =
@@ -186,8 +206,8 @@ let gen_id t etype (attr : Tuple.t) ?text () =
       let n = { id; etype; attr; text; slot } in
       mark_dirty t id;
       Hashtbl.replace t.ids key id;
-      Hashtbl.replace t.nodes id n;
-      Hashtbl.replace t.slot_ids slot id;
+      Itbl.replace t.nodes id n;
+      Itbl.replace t.slot_ids slot id;
       let reg =
         match Hashtbl.find_opt t.gen etype with
         | Some r -> r
@@ -204,13 +224,13 @@ let gen_id t etype (attr : Tuple.t) ?text () =
          goes back where it came from (free-list head or next_slot). *)
       if recording t then
         Journal.record t.journal (fun () ->
-            Hashtbl.remove t.nodes id;
+            Itbl.remove t.nodes id;
             Hashtbl.remove t.ids key;
-            Hashtbl.remove t.slot_ids slot;
+            Itbl.remove t.slot_ids slot;
             Hashtbl.remove reg id;
             gen_note_remove t etype id;
-            Hashtbl.remove t.children id;
-            Hashtbl.remove t.parents id;
+            Itbl.remove t.children id;
+            Itbl.remove t.parents id;
             t.next_id <- id;
             if from_free then t.free_slots <- slot :: t.free_slots
             else t.next_slot <- slot);
@@ -225,16 +245,16 @@ let set_root t id =
 let root t = if t.root < 0 then dag_error "store has no root" else t.root
 
 let children t id =
-  match Hashtbl.find_opt t.children id with Some l -> !l | None -> []
+  match Itbl.find t.children id with l -> !l | exception Not_found -> []
 
 let parents t id =
-  match Hashtbl.find_opt t.parents id with
-  | Some tbl -> Hashtbl.fold (fun p () acc -> p :: acc) tbl []
-  | None -> []
+  match Itbl.find t.parents id with
+  | tbl -> Itbl.fold (fun p () acc -> p :: acc) tbl []
+  | exception Not_found -> []
 
 let in_degree t id =
-  match Hashtbl.find_opt t.parents id with
-  | Some tbl -> Hashtbl.length tbl
+  match Itbl.find_opt t.parents id with
+  | Some tbl -> Itbl.length tbl
   | None -> 0
 
 let out_degree t id = List.length (children t id)
@@ -273,15 +293,15 @@ let rec add_edge t u v ~provenance =
          [remove_edge] (which filters it out) is the exact inverse *)
       if recording t then
         Journal.record t.journal (fun () -> ignore (remove_edge t u v));
-      (match Hashtbl.find_opt t.children u with
+      (match Itbl.find_opt t.children u with
       | Some l -> l := !l @ [ v ]
-      | None -> Hashtbl.replace t.children u (ref [ v ]));
-      match Hashtbl.find_opt t.parents v with
-      | Some tbl -> Hashtbl.replace tbl u ()
+      | None -> Itbl.replace t.children u (ref [ v ]));
+      match Itbl.find_opt t.parents v with
+      | Some tbl -> Itbl.replace tbl u ()
       | None ->
-          let tbl = Hashtbl.create 4 in
-          Hashtbl.replace tbl u ();
-          Hashtbl.replace t.parents v tbl)
+          let tbl = Itbl.create 4 in
+          Itbl.replace tbl u ();
+          Itbl.replace t.parents v tbl)
 
 (** [remove_edge t u v] removes the edge if present; returns whether it
     was. Nodes are never removed here — that is the garbage collector's
@@ -298,7 +318,7 @@ and remove_edge t u v =
          append, losing document order) *)
       if recording t then begin
         let idx =
-          match Hashtbl.find_opt t.children u with
+          match Itbl.find_opt t.children u with
           | Some l ->
               let rec find i = function
                 | [] -> 0
@@ -310,7 +330,7 @@ and remove_edge t u v =
         in
         Journal.record t.journal (fun () ->
             Hashtbl.replace t.edges (u, v) info;
-            (match Hashtbl.find_opt t.children u with
+            (match Itbl.find_opt t.children u with
             | Some l ->
                 let rec splice i = function
                   | rest when i = 0 -> v :: rest
@@ -318,21 +338,21 @@ and remove_edge t u v =
                   | c :: rest -> c :: splice (i - 1) rest
                 in
                 l := splice idx !l
-            | None -> Hashtbl.replace t.children u (ref [ v ]));
-            match Hashtbl.find_opt t.parents v with
-            | Some tbl -> Hashtbl.replace tbl u ()
+            | None -> Itbl.replace t.children u (ref [ v ]));
+            match Itbl.find_opt t.parents v with
+            | Some tbl -> Itbl.replace tbl u ()
             | None ->
-                let tbl = Hashtbl.create 4 in
-                Hashtbl.replace tbl u ();
-                Hashtbl.replace t.parents v tbl)
+                let tbl = Itbl.create 4 in
+                Itbl.replace tbl u ();
+                Itbl.replace t.parents v tbl)
       end;
-      (match Hashtbl.find_opt t.children u with
+      (match Itbl.find_opt t.children u with
       | Some l -> l := List.filter (fun c -> c <> v) !l
       | None -> ());
-      (match Hashtbl.find_opt t.parents v with
+      (match Itbl.find_opt t.parents v with
       | Some tbl ->
-          Hashtbl.remove tbl u;
-          if Hashtbl.length tbl = 0 then Hashtbl.remove t.parents v
+          Itbl.remove tbl u;
+          if Itbl.length tbl = 0 then Itbl.remove t.parents v
       | None -> ());
       true
 
@@ -344,23 +364,23 @@ let remove_node t id =
     dag_error "remove_node %d: node still has edges" id;
   let key = (n.etype, Tuple.to_list n.attr) in
   mark_dirty t id;
-  Hashtbl.remove t.nodes id;
+  Itbl.remove t.nodes id;
   Hashtbl.remove t.ids key;
-  Hashtbl.remove t.children id;
-  Hashtbl.remove t.parents id;
+  Itbl.remove t.children id;
+  Itbl.remove t.parents id;
   (match Hashtbl.find_opt t.gen n.etype with
   | Some reg -> Hashtbl.remove reg id
   | None -> ());
   gen_note_remove t n.etype id;
-  Hashtbl.remove t.slot_ids n.slot;
+  Itbl.remove t.slot_ids n.slot;
   t.free_slots <- n.slot :: t.free_slots;
   (* inverse: re-register the node record and reclaim its slot from the
      free list (at replay time the slot sits at the head again, by LIFO) *)
   if recording t then
     Journal.record t.journal (fun () ->
-        Hashtbl.replace t.nodes id n;
+        Itbl.replace t.nodes id n;
         Hashtbl.replace t.ids key id;
-        Hashtbl.replace t.slot_ids n.slot id;
+        Itbl.replace t.slot_ids n.slot id;
         let reg =
           match Hashtbl.find_opt t.gen n.etype with
           | Some r -> r
@@ -388,18 +408,18 @@ let set_provenance t u v rows =
   info.provenance <- rows
 
 (** Node id currently occupying [slot], if any. *)
-let id_of_slot t slot = Hashtbl.find_opt t.slot_ids slot
+let id_of_slot t slot = Itbl.find_opt t.slot_ids slot
 
 (** The id the next created node will receive; ids are allocated
     monotonically, so [id >= next_id t] later identifies fresh nodes. *)
 let next_id t = t.next_id
 
-let n_nodes t = Hashtbl.length t.nodes
+let n_nodes t = Itbl.length t.nodes
 let n_edges t = Hashtbl.length t.edges
 let slot_capacity t = t.next_slot
 
-let iter_nodes f t = Hashtbl.iter (fun _ n -> f n) t.nodes
-let fold_nodes f t acc = Hashtbl.fold (fun _ n acc -> f n acc) t.nodes acc
+let iter_nodes f t = Itbl.iter (fun _ n -> f n) t.nodes
+let fold_nodes f t acc = Itbl.fold (fun _ n acc -> f n acc) t.nodes acc
 
 let iter_edges f t = Hashtbl.iter (fun (u, v) info -> f u v info) t.edges
 
@@ -520,59 +540,69 @@ let occurrence_counts t =
 (** {2 Frozen views (MVCC snapshot reads)}
 
     A view is an immutable image of the node table, the slot → id map,
-    adjacency, and root over persistent maps. Freezing patches the
-    previous image with the entries of every node id touched since the
-    last freeze, so the cost is O(touched · log n) and untouched
-    structure (including the node records and children lists themselves)
-    is shared with the live store and all earlier views. *)
+    the (etype, $A) → id map of text-carrying nodes, adjacency, and root
+    over persistent maps. Freezing patches the previous image with the
+    entries of every node id touched since the last freeze, so the cost
+    is O(touched · log n) and untouched structure (including the node
+    records and children lists themselves) is shared with the live store
+    and all earlier views. *)
 
 type view = {
   v_nodes : node Imap.t;
   v_children : int list Imap.t;
   v_parents : int list Imap.t;
   v_slots : int Imap.t;
+  v_texts : int Kmap.t;
   v_root : int;
   v_n_edges : int;
 }
 
 let freeze t =
-  (* unmap the slot [id] held at the last freeze, unless a node created
-     since has already claimed it (dirty ids are visited in any order) *)
-  let release_slot id =
+  (* unmap the slot and identity [id] held at the last freeze, unless a
+     node created since has already claimed them (dirty ids are visited
+     in any order) *)
+  let release id =
     match Imap.find_opt id t.c_nodes with
-    | Some old when Imap.find_opt old.slot t.c_slots = Some id ->
-        t.c_slots <- Imap.remove old.slot t.c_slots
-    | Some _ | None -> ()
+    | Some old ->
+        if Imap.find_opt old.slot t.c_slots = Some id then
+          t.c_slots <- Imap.remove old.slot t.c_slots;
+        let key = (old.etype, old.attr) in
+        if old.text <> None && Kmap.find_opt key t.c_texts = Some id then
+          t.c_texts <- Kmap.remove key t.c_texts
+    | None -> ()
   in
-  Hashtbl.iter
+  Itbl.iter
     (fun id () ->
-      match Hashtbl.find_opt t.nodes id with
+      match Itbl.find_opt t.nodes id with
       | Some n ->
-          release_slot id;
+          release id;
           t.c_slots <- Imap.add n.slot id t.c_slots;
+          if n.text <> None then
+            t.c_texts <- Kmap.add (n.etype, n.attr) id t.c_texts;
           t.c_nodes <- Imap.add id n t.c_nodes;
-          (match Hashtbl.find_opt t.children id with
+          (match Itbl.find_opt t.children id with
           | Some l when !l <> [] -> t.c_children <- Imap.add id !l t.c_children
           | Some _ | None -> t.c_children <- Imap.remove id t.c_children);
-          (match Hashtbl.find_opt t.parents id with
-          | Some tbl when Hashtbl.length tbl > 0 ->
+          (match Itbl.find_opt t.parents id with
+          | Some tbl when Itbl.length tbl > 0 ->
               t.c_parents <-
                 Imap.add id
-                  (Hashtbl.fold (fun p () acc -> p :: acc) tbl [])
+                  (Itbl.fold (fun p () acc -> p :: acc) tbl [])
                   t.c_parents
           | Some _ | None -> t.c_parents <- Imap.remove id t.c_parents)
       | None ->
-          release_slot id;
+          release id;
           t.c_nodes <- Imap.remove id t.c_nodes;
           t.c_children <- Imap.remove id t.c_children;
           t.c_parents <- Imap.remove id t.c_parents)
     t.dirty;
-  Hashtbl.reset t.dirty;
+  Itbl.reset t.dirty;
   {
     v_nodes = t.c_nodes;
     v_children = t.c_children;
     v_parents = t.c_parents;
     v_slots = t.c_slots;
+    v_texts = t.c_texts;
     v_root = t.root;
     v_n_edges = Hashtbl.length t.edges;
   }
@@ -583,6 +613,7 @@ let view_node v id =
   | None -> dag_error "view: unknown node id %d" id
 
 let view_id_of_slot v slot = Imap.find_opt slot v.v_slots
+let view_find_text_node v etype attr = Kmap.find_opt (etype, attr) v.v_texts
 
 let view_children v id =
   Option.value ~default:[] (Imap.find_opt id v.v_children)
@@ -640,7 +671,7 @@ let to_persisted t =
     |> List.sort (fun a b -> compare a.pn_id b.pn_id)
   in
   let child_lists =
-    Hashtbl.fold (fun u l acc -> (u, !l) :: acc) t.children []
+    Itbl.fold (fun u l acc -> (u, !l) :: acc) t.children []
     |> List.filter (fun (_, l) -> l <> [])
     |> List.sort compare
   in
@@ -679,12 +710,12 @@ let of_persisted (p : persisted) =
       next_slot = 0;
       free_slots = [];
       ids = Hashtbl.create n_nodes;
-      nodes = Hashtbl.create n_nodes;
-      slot_ids = Hashtbl.create n_nodes;
+      nodes = Itbl.create n_nodes;
+      slot_ids = Itbl.create n_nodes;
       gen = Hashtbl.create 16;
       genseq = Hashtbl.create 8;
-      children = Hashtbl.create n_nodes;
-      parents = Hashtbl.create n_nodes;
+      children = Itbl.create n_nodes;
+      parents = Itbl.create n_nodes;
       edges = Hashtbl.create n_edges;
       root = -1;
       journal = Journal.create ();
@@ -692,7 +723,8 @@ let of_persisted (p : persisted) =
       c_children = Imap.empty;
       c_parents = Imap.empty;
       c_slots = Imap.empty;
-      dirty = Hashtbl.create n_nodes;
+      c_texts = Kmap.empty;
+      dirty = Itbl.create n_nodes;
     }
   in
   (* the committed image starts empty; every loaded node is dirty so the
@@ -711,9 +743,9 @@ let of_persisted (p : persisted) =
       if pn.pn_slot < 0 || pn.pn_slot >= p.p_next_slot then
         dag_error "of_persisted: slot %d outside [0, %d)" pn.pn_slot
           p.p_next_slot;
-      if Hashtbl.mem t.nodes pn.pn_id then
+      if Itbl.mem t.nodes pn.pn_id then
         dag_error "of_persisted: duplicate node id %d" pn.pn_id;
-      if Hashtbl.mem t.slot_ids pn.pn_slot then
+      if Itbl.mem t.slot_ids pn.pn_slot then
         dag_error "of_persisted: duplicate slot %d" pn.pn_slot;
       if Hashtbl.mem free pn.pn_slot then
         dag_error "of_persisted: slot %d both live and free" pn.pn_slot;
@@ -730,8 +762,8 @@ let of_persisted (p : persisted) =
       if Hashtbl.mem t.ids key then
         dag_error "of_persisted: duplicate identity for node %d" n.id;
       Hashtbl.replace t.ids key n.id;
-      Hashtbl.replace t.nodes n.id n;
-      Hashtbl.replace t.slot_ids n.slot n.id;
+      Itbl.replace t.nodes n.id n;
+      Itbl.replace t.slot_ids n.slot n.id;
       let reg =
         match Hashtbl.find_opt t.gen n.etype with
         | Some r -> r
@@ -746,12 +778,12 @@ let of_persisted (p : persisted) =
   List.iter (fun (e, rows) -> Hashtbl.replace prov e rows) p.p_provenance;
   List.iter
     (fun (u, cs) ->
-      if not (Hashtbl.mem t.nodes u) then
+      if not (Itbl.mem t.nodes u) then
         dag_error "of_persisted: edge parent %d unknown" u;
-      Hashtbl.replace t.children u (ref cs);
+      Itbl.replace t.children u (ref cs);
       List.iter
         (fun v ->
-          if not (Hashtbl.mem t.nodes v) then
+          if not (Itbl.mem t.nodes v) then
             dag_error "of_persisted: edge child %d unknown" v;
           if Hashtbl.mem t.edges (u, v) then
             dag_error "of_persisted: duplicate edge (%d, %d)" u v;
@@ -760,12 +792,12 @@ let of_persisted (p : persisted) =
               provenance =
                 Option.value ~default:[] (Hashtbl.find_opt prov (u, v));
             };
-          (match Hashtbl.find_opt t.parents v with
-          | Some tbl -> Hashtbl.replace tbl u ()
+          (match Itbl.find_opt t.parents v with
+          | Some tbl -> Itbl.replace tbl u ()
           | None ->
-              let tbl = Hashtbl.create 4 in
-              Hashtbl.replace tbl u ();
-              Hashtbl.replace t.parents v tbl))
+              let tbl = Itbl.create 4 in
+              Itbl.replace tbl u ();
+              Itbl.replace t.parents v tbl))
         cs)
     p.p_children;
   List.iter
@@ -773,35 +805,34 @@ let of_persisted (p : persisted) =
       if not (Hashtbl.mem t.edges (u, v)) then
         dag_error "of_persisted: provenance for absent edge (%d, %d)" u v)
     p.p_provenance;
-  if p.p_root >= 0 && not (Hashtbl.mem t.nodes p.p_root) then
+  if p.p_root >= 0 && not (Itbl.mem t.nodes p.p_root) then
     dag_error "of_persisted: root %d unknown" p.p_root;
   t.root <- p.p_root;
   t
 
 (** Deep copy — snapshot support for transactional update groups. *)
 let copy t =
-  let copy_tbl tbl = Hashtbl.copy tbl in
-  let dirty = Hashtbl.create (max 16 (Hashtbl.length t.nodes)) in
-  Hashtbl.iter (fun id _ -> Hashtbl.replace dirty id ()) t.nodes;
+  let dirty = Itbl.create (max 16 (Itbl.length t.nodes)) in
+  Itbl.iter (fun id _ -> Itbl.replace dirty id ()) t.nodes;
   {
     next_id = t.next_id;
     next_slot = t.next_slot;
     free_slots = t.free_slots;
-    ids = copy_tbl t.ids;
-    nodes = copy_tbl t.nodes;
-    slot_ids = copy_tbl t.slot_ids;
+    ids = Hashtbl.copy t.ids;
+    nodes = Itbl.copy t.nodes;
+    slot_ids = Itbl.copy t.slot_ids;
     gen =
       (let g = Hashtbl.create (Hashtbl.length t.gen) in
        Hashtbl.iter (fun k v -> Hashtbl.replace g k (Hashtbl.copy v)) t.gen;
        g);
     genseq = Hashtbl.create 8;
     children =
-      (let c = Hashtbl.create (Hashtbl.length t.children) in
-       Hashtbl.iter (fun k v -> Hashtbl.replace c k (ref !v)) t.children;
+      (let c = Itbl.create (Itbl.length t.children) in
+       Itbl.iter (fun k v -> Itbl.replace c k (ref !v)) t.children;
        c);
     parents =
-      (let p = Hashtbl.create (Hashtbl.length t.parents) in
-       Hashtbl.iter (fun k v -> Hashtbl.replace p k (Hashtbl.copy v)) t.parents;
+      (let p = Itbl.create (Itbl.length t.parents) in
+       Itbl.iter (fun k v -> Itbl.replace p k (Itbl.copy v)) t.parents;
        p);
     edges =
       (let e = Hashtbl.create (Hashtbl.length t.edges) in
@@ -815,5 +846,6 @@ let copy t =
     c_children = Imap.empty;
     c_parents = Imap.empty;
     c_slots = Imap.empty;
+    c_texts = Kmap.empty;
     dirty;
   }

@@ -29,6 +29,9 @@ type t
 
 exception Dag_error of string
 
+module Itbl : Hashtbl.S with type key = int
+(** tables keyed by node ids or slots, hashed by identity *)
+
 val create : unit -> t
 
 val journal : t -> Rxv_relational.Journal.t
@@ -142,7 +145,7 @@ val copy : t -> t
 (** {2 Frozen views}
 
     A {!view} is an immutable image of the node table, the slot → id
-    map, adjacency, and root. Freezing costs O(ids touched since the
+    map, the identities of text-carrying nodes, adjacency, and root. Freezing costs O(ids touched since the
     last freeze); node records and children lists are shared with the
     live store, never copied, so a view stays valid (and cheap) while
     the store keeps mutating. Capture with no transaction frame open to
@@ -157,6 +160,10 @@ val view_node : view -> int -> node
 
 val view_id_of_slot : view -> int -> int option
 (** {!id_of_slot} as of the freeze *)
+
+val view_find_text_node : view -> string -> Tuple.t -> int option
+(** {!find_id} as of the freeze, for nodes that carry text ([None] for
+    every other node) *)
 
 val view_children : view -> int -> int list
 (** ordered (document order) *)

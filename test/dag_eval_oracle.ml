@@ -2,9 +2,10 @@
     against: the paper's evaluation (Section 3.2) as plainly as it can be
     written. The bottom-up pass fills every DP row at every node of L and
     memoizes every node's text length; the top-down pass walks every
-    descendant for a [//] step. {!Dag_eval} computes a row only at the
-    label its readers look at and answers a [//] step followed by a label
-    step through M; both must produce the same six result fields.
+    descendant for a [//] step. {!Dag_eval} computes a cell only where it
+    is read, starts anchored value filters from their text nodes and
+    answers a [//] step followed by a label step through M; both must
+    produce the same six result fields.
 
     O(|p|·|V|) on every path. A snapshot read is checked against {!eval}
     of the live structures at the instant the snapshot was captured. *)

@@ -22,37 +22,82 @@ module Bitset = Rxv_dag.Bitset
 module Rng = Rxv_sat.Rng
 
 (* random DAG with a small label alphabet; labels repeat across levels so
-   paths like //a//a have multiple decompositions *)
+   paths like //a//a have multiple decompositions. Nodes of the fourth
+   label, t, are always childless and carry a text from a small set, so
+   several t nodes share a text and one parent can have two of them:
+   value filters over t are anchored through [text_nodes] *)
+let labels = [| "a"; "b"; "c"; "t" |]
+let t_texts = [| "0"; "1"; "2" |]
+
+let new_node store rng ~key =
+  let label = labels.(Rng.int rng 4) in
+  let text =
+    if label = "t" then Some t_texts.(Rng.int rng (Array.length t_texts))
+    else if Rng.int rng 3 = 0 then Some (string_of_int (key mod 4))
+    else None
+  in
+  Store.gen_id store label [| Value.Int key |] ?text ()
+
+let is_text store id = (Store.node store id).Store.etype = "t"
+
 let build_store (n, extra, seed) =
   let rng = Rng.create seed in
   let store = Store.create () in
-  let labels = [| "a"; "b"; "c" |] in
   let ids =
     Array.init n (fun i ->
-        let label = if i = 0 then "root" else labels.(Rng.int rng 3) in
-        Store.gen_id store label [| Value.Int i |]
-          ?text:(if Rng.int rng 3 = 0 then Some (string_of_int (i mod 4)) else None)
-          ())
+        if i = 0 then
+          Store.gen_id store "root" [| Value.Int 0 |]
+            ?text:(if Rng.int rng 3 = 0 then Some "0" else None)
+            ()
+        else new_node store rng ~key:i)
   in
   Store.set_root store ids.(0);
   for i = 1 to n - 1 do
-    let j = Rng.int rng i in
-    Store.add_edge store ids.(j) ids.(i) ~provenance:None
+    (* a parent below i that is not a t node; the root always is one *)
+    let rec parent () =
+      let j = Rng.int rng i in
+      if is_text store ids.(j) then parent () else j
+    in
+    Store.add_edge store ids.(parent ()) ids.(i) ~provenance:None
   done;
   for _ = 1 to extra do
     let i = Rng.int rng n and j = Rng.int rng n in
-    if i < j then Store.add_edge store ids.(i) ids.(j) ~provenance:None
+    if i < j && not (is_text store ids.(i)) then
+      Store.add_edge store ids.(i) ids.(j) ~provenance:None
   done;
   store
 
+(* the t nodes whose text is s, read from the store at call time *)
+let text_nodes store l s =
+  if l <> "t" then None
+  else
+    Some
+      (Store.fold_nodes
+         (fun n acc ->
+           if n.Store.etype = "t" && n.Store.text = Some s then
+             n.Store.id :: acc
+           else acc)
+         store [])
+
 let path_gen =
   let open QCheck2.Gen in
-  let lbl = oneofl [ "a"; "b"; "c" ] in
+  let lbl = oneofl [ "a"; "b"; "c"; "t" ] in
   let filter =
     frequency
       [
         (2, map (fun l -> Ast.Exists (Ast.Label l)) lbl);
         (2, map2 (fun l v -> Ast.Eq (Ast.Label l, string_of_int v)) lbl (int_range 0 3));
+        (* anchored: "3" is a text no t node carries *)
+        ( 3,
+          map
+            (fun v -> Ast.Eq (Ast.Label "t", string_of_int v))
+            (int_range 0 3) );
+        ( 1,
+          map2
+            (fun v l ->
+              Ast.And
+                (Ast.Eq (Ast.Label "t", string_of_int v), Ast.Exists (Ast.Label l)))
+            (int_range 0 3) lbl );
         (1, map (fun l -> Ast.Label_is l) lbl);
         (1, map (fun l -> Ast.Not (Ast.Exists (Ast.Label l))) lbl);
         (1, map (fun l -> Ast.Exists (Ast.Seq (Ast.Desc_or_self, Ast.Label l))) lbl);
@@ -107,6 +152,12 @@ let with_structures store f =
   let m = Reach.compute store l in
   f l m
 
+(* Dag_eval with the t lookup, so value filters over t are anchored *)
+let eval store l m p =
+  Dag_eval.eval_plan_src
+    (Dag_eval.live_src ~text_nodes:(text_nodes store) store l m)
+    (Plan.compile p)
+
 let selected_match =
   Helpers.qtest ~count:400 "adversarial DAGs: r[[p]] matches oracle" case_gen
     print_case
@@ -115,7 +166,7 @@ let selected_match =
       if not (tree_small store) then true
       else
         with_structures store (fun l m ->
-            let dag = Dag_eval.eval store l m p in
+            let dag = eval store l m p in
             let tree = Store.to_tree store in
             let got = List.sort_uniq compare dag.Dag_eval.selected in
             let expect = Tree_eval.selected_uids tree p in
@@ -133,7 +184,7 @@ let arrivals_match =
       if not (tree_small store) then true
       else
         with_structures store (fun l m ->
-            let dag = Dag_eval.eval store l m p in
+            let dag = eval store l m p in
             if dag.Dag_eval.zero_move_match then true
             else
               let tree = Store.to_tree store in
@@ -152,7 +203,7 @@ let side_effects_sound =
       if not (tree_small store) then true
       else
         with_structures store (fun l m ->
-            let dag = Dag_eval.eval store l m p in
+            let dag = eval store l m p in
             if
               dag.Dag_eval.side_effects_delete <> []
               || dag.Dag_eval.selected = []
@@ -200,7 +251,7 @@ let insert_side_effects_sound =
       if not (tree_small store) then true
       else
         with_structures store (fun l m ->
-            let dag = Dag_eval.eval store l m p in
+            let dag = eval store l m p in
             if dag.Dag_eval.side_effects <> [] || dag.Dag_eval.selected = []
             then true
             else begin
@@ -230,8 +281,10 @@ let insert_side_effects_sound =
               Tree.equal_canonical local global
             end))
 
-(* replace a random leaf by a new node of a random label, which takes
-   over the leaf's slot, under a random parent *)
+(* replace a random leaf by a new node of a random label, t included,
+   which takes over the leaf's slot, under a random parent that is not a
+   t node. Returns the nodes whose children changed or that were
+   created, and the freed slot, as Eval_cache.invalidate gets them. *)
 let replace_a_leaf store rng ~key =
   let ids = Store.fold_nodes (fun nd acc -> nd.Store.id :: acc) store [] in
   let pick l = List.nth l (Rng.int rng (List.length l)) in
@@ -240,27 +293,25 @@ let replace_a_leaf store rng ~key =
       (fun id -> id <> Store.root store && Store.children store id = [])
       ids
   with
-  | [] -> ()
+  | [] -> ([], [])
   | leaves ->
       let x = pick leaves in
-      List.iter
-        (fun u -> ignore (Store.remove_edge store u x))
-        (Store.parents store x);
+      let slot = (Store.node store x).Store.slot in
+      let old_parents = Store.parents store x in
+      List.iter (fun u -> ignore (Store.remove_edge store u x)) old_parents;
       Store.remove_node store x;
-      let parent = pick (List.filter (fun id -> id <> x) ids) in
-      let y =
-        Store.gen_id store
-          [| "a"; "b"; "c" |].(Rng.int rng 3)
-          [| Value.Int key |]
-          ?text:(if Rng.int rng 2 = 0 then Some "1" else None)
-          ()
+      let parent =
+        pick (List.filter (fun id -> id <> x && not (is_text store id)) ids)
       in
-      Store.add_edge store parent y ~provenance:None
+      let y = new_node store rng ~key in
+      Store.add_edge store parent y ~provenance:None;
+      ((y :: parent :: old_parents), [ slot ])
 
-(* Dag_eval against the two-pass oracle on all six result fields: cold,
-   then with every row revalidated after a leaf's slot passed to a node
-   of a random label. A row gated at one label keeps stale bits at the
-   others, and the reused slot holds the old node's bits. *)
+(* Dag_eval against the two-pass oracle on all six result fields, with
+   the t lookup: cold, then on the same tables after a leaf's slot passed
+   to a node of a random label and only the slots an invalidation would
+   dirty were forgotten (the touched nodes, their ancestors and the freed
+   slot). The known cells elsewhere are kept, and must still be exact. *)
 let oracle_match =
   Helpers.qtest ~count:300 ~long_factor:100
     "adversarial DAGs: Dag_eval ≡ two-pass oracle, cold and revalidated"
@@ -269,30 +320,35 @@ let oracle_match =
       let store = build_store params in
       let plan = Plan.compile p in
       let tb = Dag_eval.create_tables plan in
-      let agrees fill =
+      let agrees before =
         with_structures store (fun l m ->
-            let src = Dag_eval.live_src store l m in
-            fill src;
+            let src =
+              Dag_eval.live_src ~text_nodes:(text_nodes store) store l m
+            in
+            before src m;
             Helpers.norm (Dag_eval.top_down_src src plan tb)
             = Helpers.norm (Dag_eval_oracle.eval store l m p))
       in
-      let revalidate_all src =
-        let dirty = Bitset.create () in
-        for s = 0 to Store.slot_capacity store - 1 do
-          Bitset.set dirty s
-        done;
-        ignore (Dag_eval.revalidate_src src plan tb ~dirty)
-      in
-      agrees (fun src -> Dag_eval.bottom_up_src src plan tb)
+      agrees (fun _ _ -> ())
       &&
-      (replace_a_leaf store (Rng.create (seed + 1)) ~key:(n + 1);
-       agrees revalidate_all))
+      let touched, freed =
+        replace_a_leaf store (Rng.create (seed + 1)) ~key:(n + 1)
+      in
+      agrees (fun src m ->
+          let dirty = Bitset.create () in
+          List.iter
+            (fun id ->
+              Bitset.set dirty (Reach.slot_of m id);
+              Reach.union_row_into m id ~dst:dirty)
+            touched;
+          List.iter (Bitset.set dirty) freed;
+          Dag_eval.forget src plan tb ~dirty))
 
 (* A plan may reference one path filter after two different labels,
    though Plan.compile gives each filter a single reference; its row 0
-   must then be computed at both. Filter 0 ("has a c child") is read
+   is then read at nodes of both. Filter 0 ("has a c child") is read
    after a in the outer path and after b inside filter 1, so the plan
-   a[c and b[c]] selects a1 only if row 0 is filled at b1 too. *)
+   a[c and b[c]] selects a1 only if row 0 is computed at b1 too. *)
 let test_shared_filter_gate () =
   let store = Store.create () in
   let node label i = Store.gen_id store label [| Value.Int i |] () in

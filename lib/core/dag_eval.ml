@@ -14,10 +14,10 @@
     Anchors. A value filter [l = "s"] whose label's nodes are childless
     text nodes holds at exactly the parents of the l nodes whose text is
     s. The {!src} names those nodes when it has a lookup for l
-    ([s_text_nodes]); in an ATG view there is at most one. A label or
-    [*] step followed by a filter with such a conjunct takes its
-    candidates from those parents instead of the frontier's children,
-    and so does the [//] route below.
+    ([s_text_nodes]); in an ATG view there is at most one. A label step
+    followed by a filter with such a conjunct takes its candidates from
+    those parents instead of the frontier's children, and so does the
+    [//] route below.
 
     The top-down pass computes the forward frontiers C_i, refines them
     backwards into B_i (nodes on *successful* matches), and derives
@@ -72,7 +72,6 @@ module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
 module Reach = Rxv_dag.Reach
 module Bitset = Rxv_dag.Bitset
-module Ast = Rxv_xpath.Ast
 module Plan = Rxv_xpath.Plan
 
 type result = {
@@ -109,10 +108,7 @@ type src = {
           text is the given string; [None] for other labels *)
 }
 
-let no_text_nodes _ _ = None
-
-let live_src ?(text_nodes = no_text_nodes) (store : Store.t) (l : Topo.t)
-    (m : Reach.t) : src =
+let live_src ~text_nodes (store : Store.t) (l : Topo.t) (m : Reach.t) : src =
   {
     s_node = (fun id -> Store.node store id);
     s_children = (fun id -> Store.children store id);
@@ -415,9 +411,9 @@ let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
   let outer = p.Plan.outer in
   (* forward frontiers; frontier.(i) = C_i. A routed [//] at i leaves
      C_{i+1} empty and fills C_{i+2} directly: the candidates whose
-     ancestor row in M meets C_i. A label or [*] step followed by an
-     anchored filter fills C_{i+1} with only the anchored parents it
-     reaches; the filter step keeps what the full C_{i+1} would *)
+     ancestor row in M meets C_i. A label step followed by an anchored
+     filter fills C_{i+1} with only the anchored parents it reaches; the
+     filter step keeps what the full C_{i+1} would *)
   let frontier = Array.init (nsteps + 1) (fun _ -> IdSet.create ()) in
   IdSet.add frontier.(0) root;
   let i = ref 0 in
@@ -469,16 +465,10 @@ let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
                       IdSet.add next u)
                   (src.s_children v))
               prev)
-    | None, Plan.S_wild -> (
-        match anchored_parents p src (!i + 1) with
-        | Some cands ->
-            IdSet.iter
-              (fun u -> if has_parent_in src prev u then IdSet.add next u)
-              cands
-        | None ->
-            IdSet.iter
-              (fun v -> List.iter (IdSet.add next) (src.s_children v))
-              prev)
+    | None, Plan.S_wild ->
+        IdSet.iter
+          (fun v -> List.iter (IdSet.add next) (src.s_children v))
+          prev
     | None, Plan.S_desc ->
         let rec go u =
           if not (IdSet.mem next u) then begin
@@ -675,9 +665,3 @@ let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
 
 let eval_plan_src (src : src) (p : Plan.t) : result =
   top_down_src src p (create_tables p)
-
-(** [eval store l m p] evaluates the XPath [p] from the root of the view.
-    See {!result}. *)
-let eval (store : Store.t) (l : Topo.t) (m : Reach.t) (p : Ast.path) : result
-    =
-  eval_plan_src (live_src store l m) (Plan.compile p)

@@ -11,9 +11,9 @@
 
     Anchors: a value filter [l = "s"] over a label whose nodes are
     childless text nodes holds at exactly the parents of the l nodes
-    with text s. When the {!src} names those nodes, a label, [*] or
-    routed [//] step followed by such a filter starts from them instead
-    of from the frontier's children or from all [a] nodes. A plan with
+    with text s. When the {!src} names those nodes, a label or routed
+    [//] step followed by such a filter starts from them instead of from
+    the frontier's children or from all [a] nodes. A plan with
     anchored value filters pays for the nodes its path touches; the
     worst case stays O(|p|·|V|).
 
@@ -29,13 +29,11 @@
 
     Paths execute as compiled {!Plan.t} opcodes. The memoized cells live
     in {!tables}, so {!Eval_cache} can keep them across queries and, after
-    an update, {!forget} only the dirty slots' cells. [eval] remains the
-    one-shot entry point: compile, evaluate. *)
+    an update, {!forget} only the dirty slots' cells. *)
 
 module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
 module Reach = Rxv_dag.Reach
-module Ast = Rxv_xpath.Ast
 module Plan = Rxv_xpath.Plan
 
 type result = {
@@ -59,10 +57,6 @@ type result = {
           root); such selections cannot be deleted *)
 }
 
-val eval : Store.t -> Topo.t -> Reach.t -> Ast.path -> result
-(** evaluate from the root of the view, without a text lookup (no value
-    filter is anchored) *)
-
 (** {2 The view reader}
 
     Both passes read (store, L, M) through a first-class {!src} record,
@@ -80,13 +74,14 @@ type text_nodes = string -> string -> int list option
     view, at most one); [None] for labels without a lookup. A lookup
     must answer for the state the reader reads. *)
 
-val live_src : ?text_nodes:text_nodes -> Store.t -> Topo.t -> Reach.t -> src
-(** without [text_nodes], no value filter is anchored *)
+val live_src : text_nodes:text_nodes -> Store.t -> Topo.t -> Reach.t -> src
+(** [fun _ _ -> None] for [text_nodes] anchors no value filter *)
 
 val view_src :
   text_nodes:text_nodes -> Store.view -> Topo.view -> Reach.view -> src
 
 val eval_plan_src : src -> Plan.t -> result
+(** evaluate the plan from the root of the view, on new tables *)
 
 (** {2 Memoized cells — the cacheable DP state}
 

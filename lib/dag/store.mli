@@ -145,11 +145,11 @@ val copy : t -> t
 (** {2 Frozen views}
 
     A {!view} is an immutable image of the node table, the slot → id
-    map, the identities of text-carrying nodes, adjacency, and root. Freezing costs O(ids touched since the
-    last freeze); node records and children lists are shared with the
-    live store, never copied, so a view stays valid (and cheap) while
-    the store keeps mutating. Capture with no transaction frame open to
-    get committed state. *)
+    map, the identities of text-carrying nodes, adjacency, and root.
+    Freezing costs O(ids touched since the last freeze); node records
+    and children lists are shared with the live store, never copied, so
+    a view stays valid (and cheap) while the store keeps mutating.
+    Capture with no transaction frame open to get committed state. *)
 
 type view
 

@@ -378,7 +378,11 @@ let test_shared_filter_gate () =
     }
   in
   with_structures store (fun l m ->
-      let r = Dag_eval.eval_plan_src (Dag_eval.live_src store l m) plan in
+      let r =
+        Dag_eval.eval_plan_src
+          (Dag_eval.live_src ~text_nodes:(fun _ _ -> None) store l m)
+          plan
+      in
       Alcotest.(check (list int)) "a[c and b[c]]" [ a1 ] r.Dag_eval.selected)
 
 let tests =

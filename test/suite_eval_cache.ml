@@ -2,7 +2,7 @@
    plan keys, counter semantics, transactional invalidation, LRU bounds,
    the rows a read recomputes after a base update, and the central
    equivalence property — cached evaluation, live or through a snapshot,
-   must be indistinguishable from a fresh Dag_eval.eval under arbitrary
+   must be indistinguishable from a fresh evaluation under arbitrary
    interleavings of view updates, base updates, queries, and aborted
    transactions. *)
 
@@ -454,7 +454,12 @@ let check_equiv (e : Engine.t) path =
   let reference = fresh_eval e path in
   norm cached = norm reference
   && norm (Engine.query e path) = norm reference
-  && norm (Dag_eval.eval e.Engine.store e.Engine.topo e.Engine.reach path)
+  && norm
+       (Dag_eval.eval_plan_src
+          (Dag_eval.live_src
+             ~text_nodes:(fun _ _ -> None)
+             e.Engine.store e.Engine.topo e.Engine.reach)
+          (Plan.compile path))
      = norm reference
   && norm (Dag_eval.eval_plan_src (Engine.live_src e) (Plan.compile path))
      = norm reference

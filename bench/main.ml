@@ -1031,87 +1031,6 @@ let chaos () =
       Printf.sprintf "%.1f" (100. *. (armed_t -. base_t) /. base_t);
     ]
 
-(* ---------- xpath_cache: compiled-plan result cache effectiveness ----- *)
-
-(* minimum warm-vs-cold speedup seen across sizes; --check-cache-ratio
-   compares against it after all requested experiments ran *)
-let min_cache_speedup = ref infinity
-
-let xpath_cache () =
-  let reps = by_scale ~full:10 ~quick:5 ~smoke:3 in
-  header
-    (Printf.sprintf
-       "xpath_cache: query latency, cold vs warm (avg of %d reps) vs \
-        revalidation after a view update and after a base update" reps)
-    [
-      "|C|"; "queries"; "cold_ms"; "warm_ms"; "speedup"; "post_upd_ms";
-      "post_base_ms"; "hits"; "misses"; "partials";
-    ];
-  List.iter
-    (fun n ->
-      let d, e = engine_for n in
-      (* repeated-query workload: the XPath targets of every deletion
-         class — the same shapes fig11a-c evaluate once per update, here
-         issued as reads so the second pass can be served from cache *)
-      let paths =
-        List.concat_map
-          (fun cls ->
-            List.filter_map
-              (function Xupdate.Delete p -> Some p | _ -> None)
-              (Updates.deletions e.Engine.store cls ~count:(ops_per_class ())
-                 ~seed:7))
-          [ Updates.W1; Updates.W2; Updates.W3 ]
-      in
-      let run () = List.iter (fun p -> ignore (Engine.query e p)) paths in
-      let (), cold = time run in
-      let warm_total = ref 0. in
-      for _ = 1 to reps do
-        let (), t = time run in
-        warm_total := !warm_total +. t
-      done;
-      let warm = max (!warm_total /. float_of_int reps) 1e-9 in
-      let speedup = cold /. warm in
-      min_cache_speedup := min !min_cache_speedup speedup;
-      (* one small committed insertion dirties a handful of rows; the
-         next pass revalidates incrementally rather than recomputing *)
-      (match
-         Updates.insertions d e.Engine.store Updates.W2 ~count:1 ~seed:11 ()
-       with
-      | u :: _ -> ignore (Engine.apply ~policy:`Proceed e u)
-      | [] -> ());
-      let (), post = time run in
-      (* one leaf-H delete through Base_update, the WAL-replay and
-         follower path: an H tuple whose child key has none of its own,
-         so one sub loses one leaf c *)
-      let h = Database.relation e.Engine.db "H" in
-      (match
-         List.find_opt
-           (fun t -> Relation.select_eq h 0 t.(1) = [])
-           (List.sort compare (Relation.to_list h))
-       with
-      | Some t -> (
-          match
-            Base_update.apply e [ Group_update.Delete ("H", [ t.(0); t.(1) ]) ]
-          with
-          | Ok _ -> ()
-          | Error m -> failwith ("xpath_cache: base update failed: " ^ m))
-      | None -> failwith "xpath_cache: no leaf H tuple");
-      let (), post_base = time run in
-      let st = Engine.stats e in
-      row
-        [
-          string_of_int n;
-          string_of_int (List.length paths);
-          ms cold; ms warm;
-          Printf.sprintf "%.1fx" speedup;
-          ms post;
-          ms post_base;
-          string_of_int st.Engine.cache_hits;
-          string_of_int st.Engine.cache_misses;
-          string_of_int st.Engine.cache_partials;
-        ])
-    (sizes ())
-
 (* ---------- xpath_passes: cold evaluation per plan ---------- *)
 
 (* [p] with every value filter [cid = V] replaced by [sub/c] *)
@@ -1704,13 +1623,12 @@ let failover_bench () =
       done;
       if Follower.after f < !last then
         failwith "failover: standby did not converge before the kill";
-      (* a production standby serves reads continuously, so its compiled
-         XPath plans and eval tables are warm at the current generation;
-         one pinned read of the probe's target path models that. The
-         probe itself is a single-row delete of a sentinel course: its
-         target eval is served from the warm cache (the first op of a
-         group evaluates before the frame mutates — see Eval_cache) and
-         its ΔR translation is provenance-driven (no SAT skeleton to
+      (* a production standby serves reads continuously; one pinned
+         read of the probe's target path at the last commit models that.
+         The probe itself is a single-row delete of a sentinel course:
+         its target eval starts from the course's cno text node (an
+         anchored value filter, a few cells at any |C| — see Dag_eval)
+         and its ΔR translation is provenance-driven (no SAT skeleton to
          build cold), so MTTR measures the failover window itself, not
          a cold O(|C|) evaluation or a cold translation at |C| *)
       let probe_path = "//course[cno=FV000001]" in
@@ -1849,7 +1767,6 @@ let experiments : (string * (unit -> unit)) list =
     ("server", server_bench);
     ("ablations", ablations);
     ("chaos", chaos);
-    ("xpath_cache", xpath_cache);
     ("xpath_passes", xpath_passes);
     ("translate", translate_bench);
     ("snapshot_reads", snapshot_reads);
@@ -1866,10 +1783,10 @@ let all_names =
 let usage () =
   prerr_endline
     "usage: main.exe [--quick|--smoke] [--json FILE] \
-     [--check-cache-ratio R] [--check-replica-scale R] [--check-translate-speedup R] \
+     [--check-replica-scale R] [--check-translate-speedup R] \
      [--check-failover-mttr SECONDS] \
      [all|fig10b|fig11a..fig11h|table1|transactions|recovery|server|\
-     ablations|chaos|xpath_cache|xpath_passes|translate|snapshot_reads|\
+     ablations|chaos|xpath_passes|translate|snapshot_reads|\
      replication|failover|bechamel]...";
   exit 2
 
@@ -1877,7 +1794,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let args = List.filter (fun a -> a <> "--") args in
   let json_path = ref None in
-  let cache_ratio = ref None in
   let replica_scale = ref None in
   let translate_speedup = ref None in
   let failover_mttr = ref None in
@@ -1894,13 +1810,6 @@ let () =
         json_path := Some path;
         parse rest
     | [ "--json" ] -> usage ()
-    | "--check-cache-ratio" :: r :: rest -> (
-        match float_of_string_opt r with
-        | Some f when f > 0. ->
-            cache_ratio := Some f;
-            parse rest
-        | _ -> usage ())
-    | [ "--check-cache-ratio" ] -> usage ()
     | "--check-replica-scale" :: r :: rest -> (
         match float_of_string_opt r with
         | Some f when f > 0. ->
@@ -1997,20 +1906,4 @@ let () =
           Printf.printf
             "translate cache check ok: cold/cached translation speedup \
              %.1fx >= %.1fx, skeleton hits >= ops - 1\n%!"
-            !min_translate_speedup r));
-  match !cache_ratio with
-  | None -> ()
-  | Some r when !min_cache_speedup = infinity ->
-      Printf.eprintf
-        "--check-cache-ratio %.1f given but xpath_cache did not run\n%!" r;
-      exit 1
-  | Some r when !min_cache_speedup < r ->
-      Printf.eprintf
-        "cache effectiveness check FAILED: min warm speedup %.1fx < \
-         required %.1fx\n%!"
-        !min_cache_speedup r;
-      exit 1
-  | Some r ->
-      Printf.printf "cache effectiveness check ok: min warm speedup %.1fx \
-                     >= %.1fx\n%!"
-        !min_cache_speedup r
+            !min_translate_speedup r))

@@ -162,9 +162,8 @@ let print_stats e =
   Fmt.pr "|L| (topo order)   %d@." st.Engine.l_size;
   Fmt.pr "shared instances   %.1f%%@." (100. *. st.Engine.sharing);
   Fmt.pr "open txn frames    %d@." st.Engine.txn_depth;
-  Fmt.pr "query cache        %d hits, %d misses, %d partial, %d evicted@."
-    st.Engine.cache_hits st.Engine.cache_misses st.Engine.cache_partials
-    st.Engine.cache_evictions;
+  Fmt.pr "XPath evaluations  %d, %d snapshot memo hits@."
+    st.Engine.cache_misses st.Engine.cache_hits;
   Fmt.pr "reads              %d live, %d snapshot@." st.Engine.live_reads
     st.Engine.snapshot_reads;
   Fmt.pr "sat skeletons      %d hits, %d misses@." st.Engine.sat_skeleton_hits

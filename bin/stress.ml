@@ -219,7 +219,7 @@ let client_mode sock n_clients per_client =
   let c = Client.connect sock in
   (match Client.stats c with
   | Ok st ->
-      Printf.printf "server: %d nodes, %d edges, generation %d%s\n"
+      Printf.printf "server: %d nodes, %d edges, commit %d%s\n"
         st.Proto.st_nodes st.Proto.st_edges st.Proto.st_generation
         (match st.Proto.st_wal_records with
         | Some k -> Printf.sprintf ", %d WAL records since checkpoint" k

@@ -45,13 +45,6 @@ type report = {
 
 exception Would_cycle
 
-(* What the repairs of one ΔR changed, for [Eval_cache.invalidate]: the
-   parents that gained or lost a child and the nodes created (a DP cell
-   depends only on its node's descendants, so these and their
-   ancestors, which follow from M, are the slots that may differ), and
-   the slots the cascades freed. *)
-type dirt = { mutable touched : int list; mutable freed : int list }
-
 (* [parent]'s star rule re-evaluated against [db]: each child attribute
    it derives, with its derivation rows. [plans] memoizes compiled rule
    plans across the parents of one ΔR. *)
@@ -86,11 +79,9 @@ let derived_children (db : Database.t) (store : Store.t)
    store holds a subgraph of the view [db] publishes at every step, and
    the cycle guard fires only when that view is itself cyclic; linking
    first could close a cycle through a child another parent has yet to
-   unlink. [dirt] collects each parent whose children changed, plus the
-   nodes Δ(M,L)insert/delete created, deleted and freed. Returns the
-   edges added and removed and the nodes deleted. *)
+   unlink. Returns the edges added and removed and the nodes deleted. *)
 let reconcile (atg : Atg.t) (db : Database.t) (store : Store.t) (l : Topo.t)
-    (m : Reach.t) ~plans ~(dirt : dirt) work =
+    (m : Reach.t) ~plans work =
   let derived =
     List.filter_map
       (fun (b_type, sr, parent) ->
@@ -100,7 +91,6 @@ let reconcile (atg : Atg.t) (db : Database.t) (store : Store.t) (l : Topo.t)
       work
   in
   let added = ref 0 and removed = ref 0 and deleted = ref 0 in
-  let touch parent = dirt.touched <- parent :: dirt.touched in
   (* phase 1: removals *)
   List.iter
     (fun (b_type, parent, desired) ->
@@ -112,10 +102,8 @@ let reconcile (atg : Atg.t) (db : Database.t) (store : Store.t) (l : Topo.t)
             then begin
               ignore (Store.remove_edge store parent c);
               incr removed;
-              touch parent;
-              let st = Maintain.on_delete store l m ~targets:[ c ] in
-              deleted := !deleted + List.length st.Maintain.deleted_nodes;
-              dirt.freed <- List.rev_append st.Maintain.deleted_slots dirt.freed
+              let gone = Maintain.on_delete store l m ~targets:[ c ] in
+              deleted := !deleted + List.length gone
             end)
           (Store.children store parent))
     derived;
@@ -153,10 +141,8 @@ let reconcile (atg : Atg.t) (db : Database.t) (store : Store.t) (l : Topo.t)
                     Store.add_edge store parent root_id ~provenance:(Some row))
                   (List.rev rows);
                 incr added;
-                touch parent;
                 Maintain.on_insert store l m ~targets:[ parent ] ~root_id
-                  ~new_nodes;
-                dirt.touched <- List.rev_append new_nodes dirt.touched)
+                  ~new_nodes)
           desired)
     derived;
   (!added, !removed, !deleted)
@@ -229,14 +215,8 @@ let apply (e : Engine.t) (delta_r : Group_update.t) : (report, string) result
       end)
     !impacts;
   let plans = Hashtbl.create 8 in
-  let dirt = { touched = []; freed = [] } in
-  match reconcile atg db store l m ~plans ~dirt !work with
+  match reconcile atg db store l m ~plans !work with
   | added, removed, deleted ->
-      (* the repairs above went through Maintain directly, not through
-         Engine.apply: dirty the rows they changed, as Engine.apply
-         does, so that the next read recomputes only those *)
-      Eval_cache.invalidate e.Engine.cache ~store ~reach:m
-        ~touched:dirt.touched ~freed_slots:dirt.freed;
       (* direct base updates are durable too: log the committed ΔR, like
          Engine.apply does for view updates (never inside an open
          transaction frame — the enclosing commit logs the whole group) *)
@@ -260,10 +240,6 @@ let apply (e : Engine.t) (delta_r : Group_update.t) : (report, string) result
          cannot trip the cycle guard; a garbage sweep clears any orphaned
          expansion remnants *)
       Group_update.apply db inverse;
-      ignore (reconcile atg db store l m ~plans ~dirt !work);
+      ignore (reconcile atg db store l m ~plans !work);
       ignore (Maintain.collect_garbage store l m);
-      (* the store was mutated and restored by re-reconciliation, and the
-         collector may have recycled slots: dirty everything here too *)
-      Eval_cache.invalidate_all e.Engine.cache
-        ~slot_capacity:(Store.slot_capacity store);
       Error "base update would make the view cyclic (rolled back)"

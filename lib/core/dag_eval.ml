@@ -41,9 +41,8 @@
     the paper's top-down pass answers descendant questions, instead of a
     walk: the a nodes below C_i are the candidates whose ancestor row
     meets C_i. The candidates are the anchored parents when the filter
-    after the label step has an anchored conjunct, else a label row for
-    [a]: one pass over L when the tables are new, patched at the dirty
-    slots after an update. B_{i+1} is then refined backwards through
+    after the label step has an anchored conjunct, else every a node,
+    found by one pass over L. B_{i+1} is then refined backwards through
     parents. The walk stays for a [//] followed by [*], by a filter, or
     by nothing.
 
@@ -55,18 +54,15 @@
     every node's full text would be quadratic, so equality is decided by a
     text-length DP with on-demand bounded materialization.
 
-    Paths execute as compiled {!Plan.t} opcodes, and the memoized cells
-    live in a {!tables} value so that {!Eval_cache} can keep them across
-    queries: a cache hit replays nothing, and after an update {!forget}
-    drops the cells and text lengths of the dirty slots (changed nodes
-    and their ancestors) before the top-down pass runs again.
+    Paths execute as compiled {!Plan.t} opcodes. The memoized cells live
+    in a {!tables} value for one evaluation.
 
     The passes read the view through a {!src} record — a first-class
     reader over (store, L, M). {!live_src} binds it to the mutable
     structures; {!view_src} binds it to the frozen views of
     {!Store.freeze}/{!Topo.freeze}/{!Reach.freeze}, which is how MVCC
-    snapshot reads evaluate against a committed generation while the
-    live engine keeps mutating. *)
+    snapshot reads evaluate against a committed state while the live
+    engine keeps mutating. *)
 
 module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
@@ -100,7 +96,6 @@ type src = {
   s_root : unit -> int;
   s_iter_topo : (int -> unit) -> unit;  (** forward L order: leaves first *)
   s_slot_of : int -> int;
-  s_id_of_slot : int -> int option;
   s_anc_intersects : int -> Bitset.t -> bool;  (** by node id *)
   s_union_row_into : int -> dst:Bitset.t -> unit;  (** by node id *)
   s_text_nodes : text_nodes;
@@ -116,7 +111,6 @@ let live_src ~text_nodes (store : Store.t) (l : Topo.t) (m : Reach.t) : src =
     s_root = (fun () -> Store.root store);
     s_iter_topo = (fun f -> Topo.iter f l);
     s_slot_of = (fun id -> Reach.slot_of m id);
-    s_id_of_slot = (fun slot -> Store.id_of_slot store slot);
     s_anc_intersects = (fun id bits -> Reach.anc_intersects m id bits);
     s_union_row_into = (fun id ~dst -> Reach.union_row_into m id ~dst);
     s_text_nodes = text_nodes;
@@ -132,7 +126,6 @@ let view_src ~text_nodes (sv : Store.view) (tv : Topo.view) (rv : Reach.view) :
     s_root = (fun () -> Store.view_root sv);
     s_iter_topo = (fun f -> Topo.view_iter f tv);
     s_slot_of = slot_of;
-    s_id_of_slot = (fun slot -> Store.view_id_of_slot sv slot);
     s_anc_intersects =
       (fun id bits -> Reach.view_anc_intersects rv (slot_of id) bits);
     s_union_row_into =
@@ -145,7 +138,9 @@ module Itbl = Store.Itbl
 module IdSet = struct
   type t = unit Itbl.t
 
-  let create () : t = Itbl.create 64
+  (* an evaluation makes two dozen sets or more, most of them holding a
+     handful of ids, so a set starts small *)
+  let create () : t = Itbl.create 8
   let add (s : t) id = Itbl.replace s id ()
   let mem (s : t) id = Itbl.mem s id
   let iter f (s : t) = Itbl.iter (fun id () -> f id) s
@@ -165,15 +160,12 @@ end
    The last cell of an existence filter always holds and is not stored.
    lens memoizes the text-length DP of nodes with children, by slot,
    saturated at len_cap + 1 (len_cap: the plan's longest comparison
-   string). label_rows holds (a, the slots of a nodes) for each label a
-   a [//] route has read without an anchor. [forget] drops all three at
-   a slot whose node or subtree may have changed. *)
+   string). *)
 type tables = {
   known : Bitset.t array array;
   value : Bitset.t array array;
   lens : int Itbl.t;
   len_cap : int;
-  mutable label_rows : (int * Bitset.t) list;
   mutable cells : int;  (** cells computed so far *)
 }
 
@@ -195,7 +187,6 @@ let create_tables (p : Plan.t) =
           | Plan.T_text_eq s -> max acc (String.length s)
           | Plan.T_exists -> acc)
         0 p.Plan.pfilters;
-    label_rows = [];
     cells = 0;
   }
 
@@ -305,47 +296,6 @@ and filter_holds (p : Plan.t) tb src (q : Plan.filter) (n : Store.node) =
   | Plan.F_not x -> not (filter_holds p tb src x n)
   | Plan.F_path k -> cell p tb src k 0 n
 
-(* Forget the cells and text lengths at the slots in [dirty], and patch
-   the label rows there. Sound when [dirty] holds every slot whose node
-   or subtree may have changed: the nodes whose children changed, their
-   ancestors, new nodes and freed slots. A cell or length depends only on
-   its node's descendants, so every other one stays exact. *)
-let forget src (p : Plan.t) tb ~(dirty : Bitset.t) =
-  Array.iter
-    (Array.iter (fun known -> Bitset.diff_into ~dst:known dirty))
-    tb.known;
-  Bitset.iter_bits dirty (fun slot ->
-      Itbl.remove tb.lens slot;
-      match tb.label_rows with
-      | [] -> ()
-      | rows ->
-          let label =
-            Option.map
-              (fun v -> (src.s_node v).Store.etype)
-              (src.s_id_of_slot slot)
-          in
-          List.iter
-            (fun (a, bits) ->
-              match label with
-              | Some l when String.equal l p.Plan.labels.(a) ->
-                  Bitset.set bits slot
-              | Some _ | None -> Bitset.clear bits slot)
-            rows)
-
-(* the slots of the a nodes, by one pass over L the first time a route
-   reads them *)
-let label_row src (p : Plan.t) tb a =
-  match List.assoc_opt a tb.label_rows with
-  | Some bits -> bits
-  | None ->
-      let name = p.Plan.labels.(a) in
-      let bits = Bitset.create () in
-      src.s_iter_topo (fun v ->
-          let n = src.s_node v in
-          if String.equal n.Store.etype name then Bitset.set bits n.Store.slot);
-      tb.label_rows <- (a, bits) :: tb.label_rows;
-      bits
-
 (* ---- anchors ---- *)
 
 (* the text nodes of an anchored conjunct of [q]: a filter [l = "s"]
@@ -421,24 +371,19 @@ let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
     let prev = frontier.(!i) and next = frontier.(!i + 1) in
     (match (route p !i, outer.(!i)) with
     | Some a, _ ->
+        let name = p.Plan.labels.(a) in
         let prev_bits = slots_of src prev in
         let after = frontier.(!i + 2) in
+        let add c =
+          if
+            String.equal (src.s_node c).Store.etype name
+            && src.s_anc_intersects c prev_bits
+          then IdSet.add after c
+        in
+        (* the anchored parents, else every a node by one pass over L *)
         (match anchored_parents p src (!i + 2) with
-        | Some cands ->
-            let name = p.Plan.labels.(a) in
-            IdSet.iter
-              (fun c ->
-                if
-                  String.equal (src.s_node c).Store.etype name
-                  && src.s_anc_intersects c prev_bits
-                then IdSet.add after c)
-              cands
-        | None ->
-            Bitset.iter_bits (label_row src p tb a) (fun slot ->
-                match src.s_id_of_slot slot with
-                | Some c when src.s_anc_intersects c prev_bits ->
-                    IdSet.add after c
-                | Some _ | None -> ()));
+        | Some cands -> IdSet.iter add cands
+        | None -> src.s_iter_topo add);
         incr i
     | None, Plan.S_filter q ->
         IdSet.iter

@@ -28,8 +28,7 @@
     region (property-tested soundness).
 
     Paths execute as compiled {!Plan.t} opcodes. The memoized cells live
-    in {!tables}, so {!Eval_cache} can keep them across queries and, after
-    an update, {!forget} only the dirty slots' cells. *)
+    in {!tables} for one evaluation. *)
 
 module Store = Rxv_dag.Store
 module Topo = Rxv_dag.Topo
@@ -83,14 +82,14 @@ val view_src :
 val eval_plan_src : src -> Plan.t -> result
 (** evaluate the plan from the root of the view, on new tables *)
 
-(** {2 Memoized cells — the cacheable DP state}
+(** {2 Memoized cells}
 
-    [tables] holds a plan's cells: per (filter, suffix) two bitsets over
-    node slots, [known] and [value], where a known cell is exact; the
-    text lengths of nodes with children, by slot; and the label rows its
-    unanchored [//] steps read. {!top_down_src} computes whatever cells
-    it reads and leaves them in the tables. After an update, {!forget}
-    the dirty slots, then run {!top_down_src} again. *)
+    [tables] holds a plan's cells for one evaluation: per (filter,
+    suffix) two bitsets over node slots, [known] and [value], where a
+    known cell is exact, and the text lengths of nodes with children, by
+    slot. {!eval_plan_src} is {!top_down_src} on new tables; the two
+    are apart so that a caller can count the cells an evaluation
+    computed. *)
 
 type tables
 
@@ -99,14 +98,6 @@ val create_tables : Plan.t -> tables
 
 val top_down_src : src -> Plan.t -> tables -> result
 (** the top-down pass; computes and memoizes each cell it reads *)
-
-val forget : src -> Plan.t -> tables -> dirty:Rxv_dag.Bitset.t -> unit
-(** drop the cells and text lengths at the slots set in [dirty], and
-    patch the label rows there from [src]. Sound iff [dirty] covers
-    every slot whose node or subtree may have changed: the nodes whose
-    children changed and all their ancestors (a cell depends only on its
-    node's descendants), new nodes, and every slot whose occupant was
-    removed. Costs O(|dirty| + rows · |V|/63), never a pass over L. *)
 
 val cells_computed : tables -> int
 (** cells computed in these tables so far (a memoized read is not

@@ -30,6 +30,7 @@ module Eval = Rxv_relational.Eval
 module Atg = Rxv_atg.Atg
 module Publish = Rxv_atg.Publish
 module Tree = Rxv_xml.Tree
+module Plan = Rxv_xpath.Plan
 
 (** Durability hook (see [Rxv_persist]): fired once per committed
     top-level update or group, outside any open transaction frame. *)
@@ -48,12 +49,13 @@ type t = {
   mutable reach : Reach.t;
   mutable seed : int;  (** WalkSAT seed; bumped per insertion *)
   mutable wal : wal_hook option;
-  cache : Eval_cache.t;  (** compiled-plan result cache for the read path *)
   sat : Vinsert.cache;
       (** incremental insertion-translation state: structural CNF
           skeletons and gen_A row sets *)
   live_reads : int Atomic.t;  (** queries answered on the live structures *)
   snapshot_reads : int Atomic.t;  (** queries answered on frozen views *)
+  evaluations : int Atomic.t;  (** XPath plans evaluated *)
+  memo_hits : int Atomic.t;  (** snapshot reads answered by a memo *)
 }
 
 type policy = [ `Abort | `Proceed ]
@@ -156,10 +158,11 @@ let assemble ~verb ~seed (atg : Atg.t) (db : Database.t) (store : Store.t) =
     reach;
     seed;
     wal = None;
-    cache = Eval_cache.create ();
     sat = Vinsert.create_cache ();
     live_reads = Atomic.make 0;
     snapshot_reads = Atomic.make 0;
+    evaluations = Atomic.make 0;
+    memo_hits = Atomic.make 0;
   }
 
 (** [create atg db] publishes σ(I) and builds L and M. [seed] starts the
@@ -198,16 +201,20 @@ let wal_log ?(depth = 0) (e : t) ~(seed_before : int)
 
 let now () = Unix.gettimeofday ()
 
-(* All engine-level XPath evaluation funnels through the cache, inside a
-   transaction frame too: every update of a group reuses warm tables and
-   forgets only the slots the earlier updates dirtied (see Eval_cache).
-   The reader anchors value filters over [text_types]. *)
+(* The reader of the live structures; it anchors value filters over
+   [text_types]. *)
 let live_src (e : t) =
   Dag_eval.live_src
     ~text_nodes:(text_nodes e.text_types (Store.find_id e.store))
     e.store e.topo e.reach
 
-let eval_path (e : t) path = Eval_cache.query e.cache (live_src e) path
+(* Every XPath evaluation of the engine, live or on a snapshot, compiles
+   its path and evaluates it on new tables. *)
+let eval_src (e : t) src path =
+  Atomic.incr e.evaluations;
+  Dag_eval.eval_plan_src src (Plan.compile path)
+
+let eval_path (e : t) path = eval_src e (live_src e) path
 
 let no_timings = { t_eval = 0.; t_translate = 0.; t_maintain = 0. }
 
@@ -256,18 +263,9 @@ let apply_delete (e : t) ~(policy : policy) path :
                   delta_v;
                 let t_translate = now () -. t1 in
                 let t2 = now () in
-                let mst =
-                  Maintain.on_delete e.store e.topo e.reach
-                    ~targets:ev.Dag_eval.selected
-                in
-                (* stale DP cells: the arrival parents, whose children
-                   lists shrank, with their ancestors, and the recycled
-                   slots of cascaded-away nodes. A cell depends only on
-                   its node's descendants, so the targets' subtrees keep
-                   theirs. *)
-                Eval_cache.invalidate e.cache ~store:e.store ~reach:e.reach
-                  ~touched:(List.rev_map fst delta_v)
-                  ~freed_slots:mst.Maintain.deleted_slots;
+                ignore
+                  (Maintain.on_delete e.store e.topo e.reach
+                     ~targets:ev.Dag_eval.selected);
                 let t_maintain = now () -. t2 in
                 Ok
                   {
@@ -368,15 +366,6 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
                         ~targets:ev.Dag_eval.selected
                         ~root_id:tr.Xupdate.subtree_root
                         ~new_nodes:tr.Xupdate.new_nodes;
-                      (* stale DP cells: the targets, which gained rA,
-                         with their ancestors, and the new nodes; the
-                         common subtree nodes keep their descendants *)
-                      Eval_cache.invalidate e.cache ~store:e.store
-                        ~reach:e.reach
-                        ~touched:
-                          (List.rev_append ev.Dag_eval.selected
-                             tr.Xupdate.new_nodes)
-                        ~freed_slots:[];
                       let t_maintain = now () -. t2 in
                       Ok
                         {
@@ -415,7 +404,7 @@ let apply ?(policy : policy = `Proceed) (e : t) (u : Xupdate.t) :
       Log.info (fun m -> m "%a: %a" Xupdate.pp u pp_rejection rej));
   result
 
-(** Evaluate an XPath query on the current view (read-only, cached). *)
+(** Evaluate an XPath query on the current view (read-only). *)
 let query (e : t) path =
   Atomic.incr e.live_reads;
   eval_path e path
@@ -458,10 +447,9 @@ type stats = {
   txn_depth : int;  (** open transaction frames *)
   wal_records : int option;
       (** records since the last checkpoint; [None] without a WAL *)
-  cache_hits : int;  (** query cache: full hits *)
-  cache_misses : int;  (** query cache: cold fills *)
-  cache_partials : int;  (** query cache: partial revalidations *)
-  cache_evictions : int;  (** query cache: LRU drops *)
+  cache_hits : int;  (** snapshot reads answered by the snapshot's memo *)
+  cache_misses : int;  (** XPath evaluations *)
+  cache_partials : int;  (** always 0 (see engine.mli) *)
   live_reads : int;  (** queries answered on the live structures *)
   snapshot_reads : int;  (** queries answered on MVCC snapshots *)
   sat_skeleton_hits : int;
@@ -492,7 +480,6 @@ let tree_stats atg ~fold_nodes ~in_degree occ =
     else float_of_int shared /. float_of_int star_total )
 
 let stats (e : t) : stats =
-  let c = Eval_cache.counters e.cache in
   let sc = Vinsert.counters e.sat in
   let occurrences, sharing =
     tree_stats e.atg
@@ -510,10 +497,9 @@ let stats (e : t) : stats =
     txn_depth = Rxv_relational.Journal.depth (Database.journal e.db);
     wal_records =
       Option.map (fun h -> h.records_since_checkpoint ()) e.wal;
-    cache_hits = c.Eval_cache.hits;
-    cache_misses = c.Eval_cache.misses;
-    cache_partials = c.Eval_cache.partials;
-    cache_evictions = c.Eval_cache.evictions;
+    cache_hits = Atomic.get e.memo_hits;
+    cache_misses = Atomic.get e.evaluations;
+    cache_partials = 0;
     live_reads = Atomic.get e.live_reads;
     snapshot_reads = Atomic.get e.snapshot_reads;
     sat_skeleton_hits = sc.Vinsert.skeleton_hits;
@@ -525,13 +511,11 @@ let stats (e : t) : stats =
 
     One engine transaction is one undo-journal frame on each of the four
     mutable components (the database's shared relation journal, the
-    store's, L's and M's), one frame of the query cache, and the saved
-    WalkSAT seed. Mutation entry points record exact inverses at their
-    sites, so {!Txn.abort} replays O(Δ) inverse operations — not the
-    O(view) deep copies the previous snapshot/restore implementation
-    paid. The query cache keeps no undo: its frame collects the rows the
-    frame's updates dirtied, and the abort dirties them again.
-    [apply_group] and [dry_run] run on top of the same frames. *)
+    store's, L's and M's) and the saved WalkSAT seed. Mutation entry
+    points record exact inverses at their sites, so {!Txn.abort} replays
+    O(Δ) inverse operations — not the O(view) deep copies the previous
+    snapshot/restore implementation paid. [apply_group] and [dry_run]
+    run on top of the same frames. *)
 
 module Txn = struct
   type handle = { t_seed : int }
@@ -541,11 +525,9 @@ module Txn = struct
     Store.begin_ e.store;
     Topo.begin_ e.topo;
     Reach.begin_ e.reach;
-    Eval_cache.begin_ e.cache;
     { t_seed = e.seed }
 
   let commit (e : t) (_ : handle) : unit =
-    Eval_cache.commit e.cache;
     Reach.commit e.reach;
     Topo.commit e.topo;
     Store.commit e.store;
@@ -553,10 +535,8 @@ module Txn = struct
 
   (* The four journals are independent — no undo closure reaches across
      structures — so their abort order is free; reverse of [begin_] for
-     hygiene. The cache's abort only marks rows dirty and reads none of
-     them, so it may run before the structures are restored. *)
+     hygiene. *)
   let abort (e : t) (h : handle) : unit =
-    Eval_cache.abort e.cache;
     Reach.abort e.reach;
     Topo.abort e.topo;
     Store.abort e.store;
@@ -568,10 +548,8 @@ end
     engine in place — the replication follower's checkpoint-install path.
     Mirrors {!of_durable} (rebuild L and M from the store rather than
     republishing) but keeps the engine identity, so callers holding [e]
-    behind a lock see the new state on their next access. The query
-    cache is conservatively flushed: nothing computed against the old
-    state may survive. Must not be called with a transaction frame
-    open. *)
+    behind a lock see the new state on their next access. Must not be
+    called with a transaction frame open. *)
 let reset_from (e : t) (db : Database.t) (store : Store.t) ~(seed : int) :
     unit =
   if Rxv_relational.Journal.depth (Database.journal e.db) > 0 then
@@ -581,7 +559,6 @@ let reset_from (e : t) (db : Database.t) (store : Store.t) ~(seed : int) :
   e.topo <- Topo.of_store store;
   e.reach <- Reach.compute store e.topo;
   e.seed <- seed;
-  Eval_cache.invalidate_all e.cache ~slot_capacity:(Store.slot_capacity store);
   (* skeletons reference registries of the replaced store *)
   Vinsert.clear_cache e.sat;
   Log.info (fun m ->
@@ -591,11 +568,11 @@ let reset_from (e : t) (db : Database.t) (store : Store.t) ~(seed : int) :
 (** {2 MVCC snapshots}
 
     A snapshot is an immutable image of the committed view state: the
-    frozen store, L and M views plus the cache generation they
-    correspond to. Capture is O(touched nodes since the last capture) —
-    the persistent per-structure views share everything untouched — and
-    reads against a snapshot take no engine lock at all: the writer can
-    mutate (and even commit further generations) concurrently. *)
+    frozen store, L and M views. Capture is O(touched nodes since the
+    last capture) — the persistent per-structure views share everything
+    untouched — and reads against a snapshot take no engine lock at all:
+    the writer can mutate (and even commit further updates)
+    concurrently. *)
 
 module Snapshot = struct
   type engine = t
@@ -606,16 +583,14 @@ module Snapshot = struct
     topo_view : Topo.view;
     reach_view : Reach.view;
     src : Dag_eval.src;
-    generation : int;  (** cache generation the views were frozen at *)
-    cache_counters : Eval_cache.counters;  (** counters at capture *)
+    evals_at_capture : int * int;  (** (memo hits, evaluations) counters *)
     sat_counters : Vinsert.counters;  (** translation counters at capture *)
     reads_at_capture : int * int;  (** (live, snapshot) read counters *)
     wal_records : int option;  (** WAL backlog at capture *)
     mutable stats_memo : stats option;
     results : (Rxv_xpath.Ast.path, Dag_eval.result) Hashtbl.t;
         (** per-snapshot result memo — sound because the views are
-            immutable, and the reason snapshot reads stay fast when the
-            writer has raced ahead of the pinned generation *)
+            immutable; the engine's one result cache *)
     rlock : Mutex.t;  (** guards [results] across reader threads *)
   }
 
@@ -635,8 +610,7 @@ module Snapshot = struct
           ~text_nodes:
             (text_nodes e.text_types (Store.view_find_text_node store_view))
           store_view topo_view reach_view;
-      generation = Eval_cache.generation e.cache;
-      cache_counters = Eval_cache.counters e.cache;
+      evals_at_capture = (Atomic.get e.memo_hits, Atomic.get e.evaluations);
       sat_counters = Vinsert.counters e.sat;
       reads_at_capture =
         (Atomic.get e.live_reads, Atomic.get e.snapshot_reads);
@@ -647,30 +621,24 @@ module Snapshot = struct
       rlock = Mutex.create ();
     }
 
-  let generation (s : t) = s.generation
-
   (** Evaluate an XPath query against the snapshot — no engine lock.
       Repeat queries are answered from the snapshot's own memo (the
       views are immutable, so a path's answer never changes — exactly
-      the caching a live read can never have); a path's first read goes
-      through the shared result cache pinned to the snapshot's
-      generation, which shares entries with the live path whenever the
-      snapshot is still the current generation. Two threads racing on a
-      path's first read may both evaluate it; they compute the same
-      immutable answer, so last-write-wins is harmless. *)
+      the caching a live read can never have); a path's first read
+      evaluates it on the frozen views. Two threads racing on a path's
+      first read may both evaluate it; they compute the same immutable
+      answer, so last-write-wins is harmless. *)
   let query (s : t) path =
     Atomic.incr s.owner.snapshot_reads;
     Mutex.lock s.rlock;
-    match Hashtbl.find_opt s.results path with
+    let memo = Hashtbl.find_opt s.results path in
+    Mutex.unlock s.rlock;
+    match memo with
     | Some r ->
-        Mutex.unlock s.rlock;
+        Atomic.incr s.owner.memo_hits;
         r
     | None ->
-        Mutex.unlock s.rlock;
-        let r =
-          Eval_cache.query_src s.owner.cache s.src ~generation:s.generation
-            path
-        in
+        let r = eval_src s.owner s.src path in
         Mutex.lock s.rlock;
         Hashtbl.replace s.results path r;
         Mutex.unlock s.rlock;
@@ -702,10 +670,9 @@ module Snapshot = struct
             sharing;
             txn_depth = 0;
             wal_records = s.wal_records;
-            cache_hits = s.cache_counters.Eval_cache.hits;
-            cache_misses = s.cache_counters.Eval_cache.misses;
-            cache_partials = s.cache_counters.Eval_cache.partials;
-            cache_evictions = s.cache_counters.Eval_cache.evictions;
+            cache_hits = fst s.evals_at_capture;
+            cache_misses = snd s.evals_at_capture;
+            cache_partials = 0;
             live_reads = fst s.reads_at_capture;
             snapshot_reads = snd s.reads_at_capture;
             sat_skeleton_hits = s.sat_counters.Vinsert.skeleton_hits;

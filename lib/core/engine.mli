@@ -39,9 +39,6 @@ type t = {
   mutable reach : Reach.t;
   mutable seed : int;
   mutable wal : wal_hook option;
-  cache : Eval_cache.t;
-      (** compiled-plan result cache; all reads via {!query} go through
-          it, and every mutation path invalidates it incrementally *)
   sat : Vinsert.cache;
       (** incremental insertion-translation state (structural CNF
           skeletons, gen_A row sets) — purely an accelerator, dropped
@@ -51,6 +48,12 @@ type t = {
           i.e. under whatever lock the caller holds) *)
   snapshot_reads : int Atomic.t;
       (** cumulative {!Snapshot.query} calls (lock-free MVCC reads) *)
+  evaluations : int Atomic.t;
+      (** cumulative XPath evaluations: {!query}, every update's path, and
+          each {!Snapshot.query} its snapshot's memo did not answer *)
+  memo_hits : int Atomic.t;
+      (** cumulative {!Snapshot.query} calls answered by the snapshot's
+          memo *)
 }
 
 type policy = [ `Abort | `Proceed ]
@@ -111,13 +114,9 @@ val apply : ?policy:policy -> t -> Xupdate.t -> (report, rejection) result
     [`Proceed] *)
 
 val query : t -> Rxv_xpath.Ast.path -> Dag_eval.result
-(** read-only XPath evaluation on the current view, served through the
-    compiled-plan cache: repeated queries at an unchanged generation are
-    O(result), and after a small update only the dirty slots' cells are
-    forgotten and recomputed where read. Inside an open transaction
-    frame the cache serves and repairs entries as outside one; a path
-    first read after the frame wrote is evaluated fresh and not
-    stored. *)
+(** read-only XPath evaluation on the current view: the path is
+    compiled and evaluated on the live structures, as an update's path
+    is. Nothing is kept between reads. *)
 
 val live_src : t -> Dag_eval.src
 (** the reader {!query} evaluates through: the live store, L and M, with
@@ -146,10 +145,16 @@ type stats = {
   wal_records : int option;
       (** WAL records appended since the last checkpoint; [None] when no
           WAL is attached *)
-  cache_hits : int;  (** query cache: full hits *)
-  cache_misses : int;  (** query cache: cold fills *)
-  cache_partials : int;  (** query cache: partial revalidations *)
-  cache_evictions : int;  (** query cache: LRU drops *)
+  cache_hits : int;
+      (** {!Snapshot.query} calls answered by the snapshot's memo, the
+          one result cache ({!field-memo_hits}) *)
+  cache_misses : int;
+      (** XPath evaluations: live reads, update paths and snapshot memo
+          misses ({!field-evaluations}) *)
+  cache_partials : int;
+      (** always 0: no read repairs an earlier result. The field stays
+          only because perfbench (perfbench/src/inproc.ml), which
+          changes only with the benchmark, reads it. *)
   live_reads : int;  (** queries answered on the live structures *)
   snapshot_reads : int;  (** queries answered on MVCC snapshots *)
   sat_skeleton_hits : int;
@@ -167,8 +172,6 @@ val stats : t -> stats
     component (database, store, L, M) plus the saved seed: every
     mutation entry point records its exact inverse, so rollback replays
     O(Δ) inverse operations instead of restoring O(view) deep copies.
-    The query cache keeps no undo: an abort dirties again, at a new
-    generation, every row the frame's updates dirtied.
     Transactions nest; each handle must be resolved exactly once, with
     the innermost open frame resolved first. *)
 
@@ -189,8 +192,7 @@ end
 val reset_from : t -> Database.t -> Store.t -> seed:int -> unit
 (** install recovered state (a shipped checkpoint) into a live engine in
     place: set the database and DAG store, rebuild L and M from the
-    store (as {!of_durable} does), adopt [seed], and conservatively
-    flush the query cache. The engine identity is preserved, so callers
+    store (as {!of_durable} does), and adopt [seed]. The engine identity is preserved, so callers
     holding it behind a lock observe the new state on their next access
     — the replication follower's checkpoint-install path.
     @raise Invalid_argument if a transaction frame is open. *)
@@ -198,14 +200,13 @@ val reset_from : t -> Database.t -> Store.t -> seed:int -> unit
 (** {2 MVCC snapshots}
 
     An immutable image of the committed view state — the frozen store,
-    L and M views plus the cache generation they belong to. XPath reads
-    need nothing else; the base database is not captured. Capture costs
+    L and M views. XPath reads need nothing else; the base database is not captured. Capture costs
     O(nodes touched since the previous capture): the store keeps a
     persistent committed view and patches only its dirty nodes, and the
     L and M arrays are shared copy-on-write. Reads against
     a snapshot take {e no} engine lock: the writer may mutate, commit
-    and publish further generations concurrently, and the snapshot still
-    answers from its own generation. *)
+    and publish further snapshots concurrently, and the snapshot still
+    answers from its own state. *)
 
 module Snapshot : sig
   type engine := t
@@ -218,19 +219,15 @@ module Snapshot : sig
 
   val query : t -> Rxv_xpath.Ast.path -> Dag_eval.result
   (** XPath evaluation pinned to the snapshot, without locking the
-      engine. Served through the shared result cache when the snapshot
-      is still the current generation (the steady state under a
-      publish-per-batch server); older snapshots are answered from the
-      frozen views directly. *)
+      engine. A path's first read on the snapshot evaluates it on the
+      frozen views; later reads of the same path are answered from the
+      snapshot's memo. *)
 
   val stats : t -> stats
   (** the engine statistics as of the capture instant, derived from the
       frozen views (computed lazily and memoized, so capture itself
       stays O(touched)). Deterministic: repeated calls on one snapshot
       always agree, whatever the writer did since. *)
-
-  val generation : t -> int
-  (** the cache/DAG generation the snapshot was frozen at *)
 end
 
 val apply_group :

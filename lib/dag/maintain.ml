@@ -27,14 +27,6 @@
       puts every new node after all of its descendants and before all
       of its ancestors. *)
 
-type delete_stats = {
-  deleted_nodes : int list;
-  deleted_slots : int list;
-      (** store slots freed by [deleted_nodes], captured before removal:
-          the store recycles slots, so cached per-slot rows must be
-          dirtied even though the ids are gone *)
-}
-
 (* Descendants-or-self of [roots] via the (current) adjacency, as a set. *)
 let desc_or_self_set store roots =
   let seen = Hashtbl.create 64 in
@@ -117,9 +109,9 @@ let on_insert (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets ~root_id
     already be removed from the store. Recomputes ancestor rows for
     desc-or-self of the targets (ancestors first), cascades the removal of
     orphaned nodes (Δ'V — the background garbage collection of Section
-    2.3), and removes dead entries from L, M and the gen registries. *)
-let on_delete (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets :
-    delete_stats =
+    2.3), and removes dead entries from L, M and the gen registries.
+    Returns the ids removed. *)
+let on_delete (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets =
   let lr_set = desc_or_self_set store targets in
   (* LR sorted by L, traversed backward = ancestors first. Sorting the
      (small) descendant set by ordinal is O(|LR| log |LR|); scanning all
@@ -136,7 +128,6 @@ let on_delete (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets :
   (* absent = true; false once deleted *)
   let is_kept a = Option.value ~default:true (Hashtbl.find_opt keep a) in
   let deleted = ref [] in
-  let deleted_slots = ref [] in
   let root = Store.root store in
   List.iter
     (fun d ->
@@ -147,7 +138,6 @@ let on_delete (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets :
         if pd = [] then begin
           Hashtbl.replace keep d false;
           deleted := d :: !deleted;
-          deleted_slots := (Store.node store d).Store.slot :: !deleted_slots;
           Topo.remove l d;
           (* Δ'V: the cascade drops the dead node's out-edges *)
           List.iter
@@ -162,7 +152,7 @@ let on_delete (store : Store.t) (l : Topo.t) (m : Reach.t) ~targets :
       Reach.remove_row m d;
       Store.remove_node store d)
     !deleted;
-  { deleted_nodes = !deleted; deleted_slots = !deleted_slots }
+  !deleted
 
 (** Full-scan garbage collector: removes every node unreachable from the
     root. The incremental path (Fig. 8) should leave nothing for this to

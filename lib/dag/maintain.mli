@@ -14,14 +14,6 @@
     ancestors) reaching the common nodes. Property-tested against
     recomputation. *)
 
-type delete_stats = {
-  deleted_nodes : int list;
-  deleted_slots : int list;
-      (** store slots freed by [deleted_nodes], captured before removal:
-          the store recycles slots, so cached per-slot rows must be
-          dirtied even though the ids are gone *)
-}
-
 val on_insert :
   Store.t ->
   Topo.t ->
@@ -35,12 +27,12 @@ val on_insert :
     already contain the subtree and the connection edges.
     @raise Topo.Topo_error if there are new nodes but no target *)
 
-val on_delete :
-  Store.t -> Topo.t -> Reach.t -> targets:int list -> delete_stats
+val on_delete : Store.t -> Topo.t -> Reach.t -> targets:int list -> int list
 (** Algorithm Δ(M,L)delete. The Ep(r) edges must already be removed from
     the store; recomputes ancestor rows of desc-or-self(targets)
     (ancestors first), cascades orphan removal (Δ'V) and cleans L, M and
-    the gen registries. *)
+    the gen registries. Returns the ids of the nodes the cascade
+    removed. *)
 
 val collect_garbage : Store.t -> Topo.t -> Reach.t -> int list
 (** full-scan collector removing every node unreachable from the root;

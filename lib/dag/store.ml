@@ -90,7 +90,6 @@ type t = {
       (** persistent image of [nodes] as of the last {!freeze} *)
   mutable c_children : int list Imap.t;
   mutable c_parents : int list Imap.t;
-  mutable c_slots : int Imap.t;  (** slot -> node id, as of the last freeze *)
   mutable c_texts : int Kmap.t;
       (** (etype, $A) -> id of the text-carrying nodes, as of the last
           freeze *)
@@ -121,7 +120,6 @@ let create () =
     c_nodes = Imap.empty;
     c_children = Imap.empty;
     c_parents = Imap.empty;
-    c_slots = Imap.empty;
     c_texts = Kmap.empty;
     dirty = Itbl.create 1024;
   }
@@ -539,11 +537,11 @@ let occurrence_counts t =
 
 (** {2 Frozen views (MVCC snapshot reads)}
 
-    A view is an immutable image of the node table, the slot → id map,
-    the (etype, $A) → id map of text-carrying nodes, adjacency, and root
-    over persistent maps. Freezing patches the previous image with the
-    entries of every node id touched since the last freeze, so the cost
-    is O(touched · log n) and untouched structure (including the node
+    A view is an immutable image of the node table, the (etype, $A) → id
+    map of text-carrying nodes, adjacency, and root over persistent
+    maps. Freezing patches the previous image with the entries of every
+    node id touched since the last freeze, so the cost is
+    O(touched · log n) and untouched structure (including the node
     records and children lists themselves) is shared with the live store
     and all earlier views. *)
 
@@ -551,21 +549,18 @@ type view = {
   v_nodes : node Imap.t;
   v_children : int list Imap.t;
   v_parents : int list Imap.t;
-  v_slots : int Imap.t;
   v_texts : int Kmap.t;
   v_root : int;
   v_n_edges : int;
 }
 
 let freeze t =
-  (* unmap the slot and identity [id] held at the last freeze, unless a
-     node created since has already claimed them (dirty ids are visited
-     in any order) *)
+  (* unmap the identity [id] held at the last freeze, unless a node
+     created since has already claimed it (dirty ids are visited in any
+     order) *)
   let release id =
     match Imap.find_opt id t.c_nodes with
     | Some old ->
-        if Imap.find_opt old.slot t.c_slots = Some id then
-          t.c_slots <- Imap.remove old.slot t.c_slots;
         let key = (old.etype, old.attr) in
         if old.text <> None && Kmap.find_opt key t.c_texts = Some id then
           t.c_texts <- Kmap.remove key t.c_texts
@@ -576,7 +571,6 @@ let freeze t =
       match Itbl.find_opt t.nodes id with
       | Some n ->
           release id;
-          t.c_slots <- Imap.add n.slot id t.c_slots;
           if n.text <> None then
             t.c_texts <- Kmap.add (n.etype, n.attr) id t.c_texts;
           t.c_nodes <- Imap.add id n t.c_nodes;
@@ -601,7 +595,6 @@ let freeze t =
     v_nodes = t.c_nodes;
     v_children = t.c_children;
     v_parents = t.c_parents;
-    v_slots = t.c_slots;
     v_texts = t.c_texts;
     v_root = t.root;
     v_n_edges = Hashtbl.length t.edges;
@@ -612,7 +605,6 @@ let view_node v id =
   | Some n -> n
   | None -> dag_error "view: unknown node id %d" id
 
-let view_id_of_slot v slot = Imap.find_opt slot v.v_slots
 let view_find_text_node v etype attr = Kmap.find_opt (etype, attr) v.v_texts
 
 let view_children v id =
@@ -722,7 +714,6 @@ let of_persisted (p : persisted) =
       c_nodes = Imap.empty;
       c_children = Imap.empty;
       c_parents = Imap.empty;
-      c_slots = Imap.empty;
       c_texts = Kmap.empty;
       dirty = Itbl.create n_nodes;
     }
@@ -845,7 +836,6 @@ let copy t =
     c_nodes = Imap.empty;
     c_children = Imap.empty;
     c_parents = Imap.empty;
-    c_slots = Imap.empty;
     c_texts = Kmap.empty;
     dirty;
   }

@@ -144,8 +144,8 @@ val copy : t -> t
 
 (** {2 Frozen views}
 
-    A {!view} is an immutable image of the node table, the slot → id
-    map, the identities of text-carrying nodes, adjacency, and root.
+    A {!view} is an immutable image of the node table, the identities of
+    text-carrying nodes, adjacency, and root.
     Freezing costs O(ids touched since the last freeze); node records
     and children lists are shared with the live store, never copied, so
     a view stays valid (and cheap) while the store keeps mutating.
@@ -157,9 +157,6 @@ val freeze : t -> view
 
 val view_node : view -> int -> node
 (** @raise Dag_error for ids unknown to the view. *)
-
-val view_id_of_slot : view -> int -> int option
-(** {!id_of_slot} as of the freeze *)
 
 val view_find_text_node : view -> string -> Tuple.t -> int option
 (** {!find_id} as of the freeze, for nodes that carry text ([None] for

@@ -87,9 +87,8 @@ type server_stats = {
   st_l_size : int;
   st_occurrences : int;
   st_generation : int;
-      (** the MVCC generation the reply describes: the published
-          snapshot's under snapshot reads, the live cache generation
-          under locked reads *)
+      (** the commit number the published snapshot covers: committed
+          update groups, counted as [Query_at] counts them *)
   st_wal_records : int option;  (** [None] when the server has no WAL *)
   st_health : string;
       (** ["ok"], or ["degraded: <reason>"] while the server is in

@@ -390,10 +390,10 @@ let handle_stats t =
       st_m_size = st.Engine.m_size;
       st_l_size = st.Engine.l_size;
       st_occurrences = st.Engine.occurrences;
-      st_generation = Engine.Snapshot.generation s;
+      st_generation = t.applied_seq;
       st_wal_records = st.Engine.wal_records;
       st_health = health_string t;
-      (* the query-cache and read-path counters ride in the generic
+      (* the evaluation and read-path counters ride in the generic
          counter list: no wire-format change, old clients simply show
          extra rows. The read counters are atomics, read live. *)
       st_counters =
@@ -402,7 +402,6 @@ let handle_stats t =
             ("cache_hits", st.Engine.cache_hits);
             ("cache_misses", st.Engine.cache_misses);
             ("cache_partials", st.Engine.cache_partials);
-            ("cache_evictions", st.Engine.cache_evictions);
             ("live_reads", Atomic.get t.eng.Engine.live_reads);
             ("snapshot_reads", Atomic.get t.eng.Engine.snapshot_reads);
             ("sat_skeleton_hits", st.Engine.sat_skeleton_hits);

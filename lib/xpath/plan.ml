@@ -1,8 +1,7 @@
 (** Compiled XPath plans: the deep normal form lowered to flat opcode
     arrays (see plan.mli). Compilation runs {!Normal.of_path} recursively
     — on the outer path and on every path embedded in a filter — so the
-    opcodes *are* the deep normal form and the serialized {!key} is
-    canonical for it: [Normal.equivalent p1 p2] implies equal keys. *)
+    opcodes *are* the deep normal form. *)
 
 type target = T_exists | T_text_eq of string
 
@@ -20,71 +19,7 @@ type t = {
   outer : step array;
   pfilters : pfilter array;
   labels : string array;
-  key : string;
 }
-
-(* ---- canonical key ----
-
-   Unambiguous flat serialization: every constructor gets a distinct
-   tag character, integers are ';'-terminated decimal, strings are
-   length-prefixed. Two compiled plans are structurally equal iff their
-   keys are equal (label ids are assigned in first-use order over the
-   normalized form, so equal deep forms intern identically). *)
-
-let add_int b i =
-  Buffer.add_string b (string_of_int i);
-  Buffer.add_char b ';'
-
-let add_str b s =
-  add_int b (String.length s);
-  Buffer.add_string b s
-
-let rec key_filter b = function
-  | F_label i ->
-      Buffer.add_char b 'l';
-      add_int b i
-  | F_and (x, y) ->
-      Buffer.add_char b '&';
-      key_filter b x;
-      key_filter b y
-  | F_or (x, y) ->
-      Buffer.add_char b '|';
-      key_filter b x;
-      key_filter b y
-  | F_not x ->
-      Buffer.add_char b '!';
-      key_filter b x
-  | F_path k ->
-      Buffer.add_char b 'p';
-      add_int b k
-
-let key_step b = function
-  | S_filter q ->
-      Buffer.add_char b 'F';
-      key_filter b q
-  | S_label i ->
-      Buffer.add_char b 'L';
-      add_int b i
-  | S_wild -> Buffer.add_char b 'W'
-  | S_desc -> Buffer.add_char b 'D'
-
-let make_key ~outer ~pfilters ~labels =
-  let b = Buffer.create 64 in
-  Array.iter (key_step b) outer;
-  Buffer.add_char b '#';
-  Array.iter
-    (fun pf ->
-      Array.iter (key_step b) pf.steps;
-      (match pf.target with
-      | T_exists -> Buffer.add_char b 'E'
-      | T_text_eq s ->
-          Buffer.add_char b '=';
-          add_str b s);
-      Buffer.add_char b '#')
-    pfilters;
-  Buffer.add_char b '@';
-  Array.iter (add_str b) labels;
-  Buffer.contents b
 
 (* ---- compilation ---- *)
 
@@ -137,8 +72,4 @@ let compile (p : Ast.path) : t =
   let outer = compile_steps (Normal.of_path p) in
   let pfilters = Array.of_list (List.rev !pfs) in
   let labels = Array.of_list (List.rev !names) in
-  { outer; pfilters; labels; key = make_key ~outer ~pfilters ~labels }
-
-let key t = t.key
-let label t i = t.labels.(i)
-let n_steps t = Array.length t.outer
+  { outer; pfilters; labels }

@@ -7,11 +7,7 @@
     filter collected into one table in sub-expression (inner-before-
     outer) order — the order the bottom-up dynamic program consumes.
 
-    Compilation is O(|p|) and happens once per distinct query: the
-    {!key} is a canonical serialization of the compiled form, so two
-    paths with equal deep normal forms (cf. {!Normal.equivalent}) share
-    one key — and hence one cached evaluation — regardless of how their
-    ASTs were associated or how many redundant [//] steps they spelled. *)
+    Compilation is O(|p|) and happens once per evaluation. *)
 
 type target =
   | T_exists  (** the filter path must reach some node *)
@@ -36,17 +32,7 @@ type t = {
   outer : step array;
   pfilters : pfilter array;  (** sub-expression order: inner before outer *)
   labels : string array;  (** interned label names; ids index this array *)
-  key : string;  (** canonical cache key of the compiled form *)
 }
 
 val compile : Ast.path -> t
 (** normalize and lower [p]; O(|p|) *)
-
-val key : t -> string
-(** the canonical cache key; equal for deep-normal-equal paths *)
-
-val label : t -> int -> string
-(** resolve an interned label id back to its name *)
-
-val n_steps : t -> int
-(** outer steps, after normalization *)

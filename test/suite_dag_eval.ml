@@ -214,13 +214,13 @@ let delete_subset_of_insert =
 
 (* ---- Dag_eval ≡ the two-pass oracle after random updates ----
 
-   After each act, every probe read live through the cache, fresh
-   through the engine's reader (value filters anchored), and through a
-   snapshot must equal the oracle on all six result fields; a snapshot
-   pinned before the first act must keep its answers. The probes take
-   each route a [//] step has: anchored candidates ([//c[cid=..]]), a
-   label row ([//course], [//c[sub/c]]), from a frontier below the root,
-   and the walk ([//*], a trailing [//]); and filters whose literal names
+   After each act, every probe read live (evaluated fresh through the
+   engine's reader, value filters anchored) and through a snapshot must
+   equal the oracle on all six result fields; a snapshot pinned before
+   the first act must keep its answers. The probes take each route a
+   [//] step has: anchored candidates ([//c[cid=..]]), a pass over L
+   ([//course], [//c[sub/c]]), from a frontier below the root, and the
+   walk ([//*], a trailing [//]); and filters whose literal names
    no node ([cid=07] prints back as no key). *)
 
 let reads_match_oracle (e : Engine.t) ~probes ~act acts =
@@ -238,9 +238,7 @@ let reads_match_oracle (e : Engine.t) ~probes ~act acts =
       let snap = Engine.Snapshot.capture e in
       List.iter
         (fun p ->
-          agree "cached" p (Engine.query e p);
-          agree "fresh" p
-            (Dag_eval.eval_plan_src (Engine.live_src e) (Plan.compile p));
+          agree "live" p (Engine.query e p);
           agree "snapshot" p (Engine.Snapshot.query snap p))
         probes)
     acts;
@@ -388,6 +386,80 @@ let synthetic_matches_oracle =
         ~probes:(synth_probes ~n:params.Synth.n)
         ~act:(synth_act d e gone) acts)
 
+(* ---- string values after an update ---- *)
+
+(* the XPath string value: the node's own text, then its children's, in
+   document order *)
+let rec string_value store id =
+  Option.value ~default:"" (Store.node store id).Store.text
+  ^ String.concat "" (List.map (string_value store) (Store.children store id))
+
+(* A text comparison reads the length of the node's whole subtree text,
+   so an update below a node changes what the comparison sees there, on
+   every ancestor of the touched nodes. A twin engine applies the update
+   first to learn the course's new string value; after the update, the
+   live read and a snapshot read must select that course, as the oracle
+   does. *)
+let test_text_eq_sees_new_string_values () =
+  let parse = Parser.parse in
+  let view_insert e =
+    match
+      Engine.apply e
+        (Xupdate.Insert
+           {
+             etype = "course";
+             attr = Registrar.course_attr "CS210" "Systems";
+             path = parse "course[cno=CS650]/prereq";
+           })
+    with
+    | Ok _ -> ()
+    | Error rej -> Alcotest.failf "insert rejected: %a" Engine.pp_rejection rej
+  in
+  let base_insert e =
+    match
+      Base_update.apply e
+        [
+          Group_update.Insert
+            ("prereq", [| Value.str "CS240"; Value.str "CS120" |]);
+        ]
+    with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "base update failed: %s" m
+  in
+  List.iter
+    (fun (name, cno, update) ->
+      let twin = Registrar.engine () in
+      update twin;
+      let course =
+        match
+          (Helpers.oracle_eval twin (parse ("course[cno=" ^ cno ^ "]")))
+            .Dag_eval.selected
+        with
+        | [ id ] -> id
+        | _ -> Alcotest.failf "%s: no single course %s" name cno
+      in
+      let p =
+        Ast.Seq
+          ( Ast.Desc_or_self,
+            Ast.Where
+              ( Ast.Label "course",
+                Ast.Eq (Ast.Self, string_value twin.Engine.store course) ) )
+      in
+      let e = Registrar.engine () in
+      update e;
+      let want = Helpers.norm (Helpers.oracle_eval e p) in
+      let live = Engine.query e p in
+      check (name ^ ": live ≡ oracle") true (Helpers.norm live = want);
+      check (name ^ ": the course is selected") true
+        (live.Dag_eval.selected <> []);
+      check (name ^ ": snapshot ≡ oracle") true
+        (Helpers.norm (Engine.Snapshot.query (Engine.Snapshot.capture e) p)
+        = want))
+    [
+      ("view insert", "CS650", view_insert);
+      ("base insert", "CS240", base_insert);
+    ]
+
 (* ---- work counts of cold evaluation ----
 
    Cells computed and words allocated repeat exactly on every host, so
@@ -442,6 +514,8 @@ let tests =
     dag_matches_oracle_arrivals;
     side_effect_soundness;
     Alcotest.test_case "registrar paths" `Quick test_registrar_paths;
+    Alcotest.test_case "text comparisons see new string values" `Quick
+      test_text_eq_sees_new_string_values;
     registrar_matches_oracle;
     synthetic_matches_oracle;
     Alcotest.test_case

@@ -506,6 +506,41 @@ let test_server_session () =
              in
              enc e.Engine.db = enc e'.Engine.db))
 
+(* STATS' st_generation is the commit number the published snapshot
+   covers: each committed group moves it by one, and neither a rejected
+   group nor a read moves it *)
+let test_stats_generation () =
+  let sock = fresh_sock () in
+  let srv = Server.start (Server.Unix_sock sock) (Registrar.engine ()) in
+  let c = Client.connect sock in
+  let generation () =
+    match Client.stats c with
+    | Ok st -> st.Proto.st_generation
+    | Error m -> Alcotest.failf "stats: %s" m
+  in
+  let g0 = generation () in
+  List.iter
+    (fun cno ->
+      match Client.update c [ ins cno "Counted" ] with
+      | `Applied _ -> ()
+      | _ -> Alcotest.failf "insert %s not applied" cno)
+    [ "CS911"; "CS912" ];
+  Alcotest.(check int) "two committed groups" (g0 + 2) (generation ());
+  (match
+     Client.update c
+       [ Proto.Insert { etype = "bogus"; attr = [||]; path = "//course" } ]
+   with
+  | `Applied _ -> Alcotest.fail "bogus insert applied"
+  | _ -> ());
+  Alcotest.(check int) "a rejected group" (g0 + 2) (generation ());
+  (match Client.query c "//course" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "query: %s" m);
+  Alcotest.(check int) "a read" (g0 + 2) (generation ());
+  Client.shutdown c;
+  Client.close c;
+  Server.wait srv
+
 (* a corrupted or truncated frame kills one connection, never the server *)
 let test_server_survives_corrupt_frame () =
   let sock = fresh_sock () in
@@ -829,6 +864,8 @@ let tests =
     Alcotest.test_case "batcher group-commit syncs" `Quick
       test_batcher_group_commit_syncs;
     Alcotest.test_case "scripted session" `Quick test_server_session;
+    Alcotest.test_case "STATS generation counts committed groups" `Quick
+      test_stats_generation;
     Alcotest.test_case "corrupt frame isolated" `Quick
       test_server_survives_corrupt_frame;
     Alcotest.test_case "reads do not wait for the writer" `Quick

@@ -9,7 +9,6 @@ let () =
       ("dag", Suite_dag.tests);
       ("dag_eval", Suite_dag_eval.tests);
       ("dag_eval_adversarial", Suite_dag_eval_adversarial.tests);
-      ("eval_cache", Suite_eval_cache.tests);
       ("snapshot", Suite_snapshot.tests);
       ("atg", Suite_atg.tests);
       ("vupdate", Suite_vupdate.tests);

@@ -1056,9 +1056,9 @@ let rec no_anchor (p : Ast.path) =
    filters anchored at their cid node). Each plan is evaluated [reps]
    times, each time on new tables; eval_ms is the median over all runs
    of the class, cells the median per plan. The no_anchor class is the
-   W1 paths with each [cid = V] replaced by [sub/c]: its // step reads a
-   label row, one pass over L, and its filters compute cells at every c
-   below the root. *)
+   W1 paths with each [cid = V] replaced by [sub/c]: its // step takes
+   every c from one pass over the node table, and its filters compute
+   cells at every c below the root. *)
 let xpath_passes () =
   let plans = 8 and reps = 5 in
   header

@@ -42,9 +42,9 @@
     walk: the a nodes below C_i are the candidates whose ancestor row
     meets C_i. The candidates are the anchored parents when the filter
     after the label step has an anchored conjunct, else every a node,
-    found by one pass over L. B_{i+1} is then refined backwards through
-    parents. The walk stays for a [//] followed by [*], by a filter, or
-    by nothing.
+    found by one pass over the node table. B_{i+1} is then refined
+    backwards through parents. The walk stays for a [//] followed by
+    [*], by a filter, or by nothing.
 
     A plan computes at most the cells the full bottom-up DP would, so
     the worst case stays O(|p|·|V|); a plan whose value filters are
@@ -58,14 +58,13 @@
     in a {!tables} value for one evaluation.
 
     The passes read the view through a {!src} record — a first-class
-    reader over (store, L, M). {!live_src} binds it to the mutable
-    structures; {!view_src} binds it to the frozen views of
-    {!Store.freeze}/{!Topo.freeze}/{!Reach.freeze}, which is how MVCC
-    snapshot reads evaluate against a committed state while the live
-    engine keeps mutating. *)
+    reader over (store, M); L is not read. {!live_src} binds it to the
+    mutable structures; {!view_src} binds it to the frozen views of
+    {!Store.freeze}/{!Reach.freeze}, which is how MVCC snapshot reads
+    evaluate against a committed state while the live engine keeps
+    mutating. *)
 
 module Store = Rxv_dag.Store
-module Topo = Rxv_dag.Topo
 module Reach = Rxv_dag.Reach
 module Bitset = Rxv_dag.Bitset
 module Plan = Rxv_xpath.Plan
@@ -94,7 +93,7 @@ type src = {
   s_children : int -> int list;
   s_parents : int -> int list;
   s_root : unit -> int;
-  s_iter_topo : (int -> unit) -> unit;  (** forward L order: leaves first *)
+  s_iter_nodes : (Store.node -> unit) -> unit;  (** every node, any order *)
   s_slot_of : int -> int;
   s_anc_intersects : int -> Bitset.t -> bool;  (** by node id *)
   s_union_row_into : int -> dst:Bitset.t -> unit;  (** by node id *)
@@ -103,28 +102,27 @@ type src = {
           text is the given string; [None] for other labels *)
 }
 
-let live_src ~text_nodes (store : Store.t) (l : Topo.t) (m : Reach.t) : src =
+let live_src ~text_nodes (store : Store.t) (m : Reach.t) : src =
   {
     s_node = (fun id -> Store.node store id);
     s_children = (fun id -> Store.children store id);
     s_parents = (fun id -> Store.parents store id);
     s_root = (fun () -> Store.root store);
-    s_iter_topo = (fun f -> Topo.iter f l);
+    s_iter_nodes = (fun f -> Store.iter_nodes f store);
     s_slot_of = (fun id -> Reach.slot_of m id);
     s_anc_intersects = (fun id bits -> Reach.anc_intersects m id bits);
     s_union_row_into = (fun id ~dst -> Reach.union_row_into m id ~dst);
     s_text_nodes = text_nodes;
   }
 
-let view_src ~text_nodes (sv : Store.view) (tv : Topo.view) (rv : Reach.view) :
-    src =
+let view_src ~text_nodes (sv : Store.view) (rv : Reach.view) : src =
   let slot_of id = (Store.view_node sv id).Store.slot in
   {
     s_node = (fun id -> Store.view_node sv id);
     s_children = (fun id -> Store.view_children sv id);
     s_parents = (fun id -> Store.view_parents sv id);
     s_root = (fun () -> Store.view_root sv);
-    s_iter_topo = (fun f -> Topo.view_iter f tv);
+    s_iter_nodes = (fun f -> Store.view_fold_nodes (fun n () -> f n) sv ());
     s_slot_of = slot_of;
     s_anc_intersects =
       (fun id bits -> Reach.view_anc_intersects rv (slot_of id) bits);
@@ -374,16 +372,17 @@ let top_down_src (src : src) (p : Plan.t) (tb : tables) : result =
         let name = p.Plan.labels.(a) in
         let prev_bits = slots_of src prev in
         let after = frontier.(!i + 2) in
-        let add c =
+        let add (n : Store.node) =
           if
-            String.equal (src.s_node c).Store.etype name
-            && src.s_anc_intersects c prev_bits
-          then IdSet.add after c
+            String.equal n.Store.etype name
+            && src.s_anc_intersects n.Store.id prev_bits
+          then IdSet.add after n.Store.id
         in
-        (* the anchored parents, else every a node by one pass over L *)
+        (* the anchored parents, else every a node by one pass over the
+           node table *)
         (match anchored_parents p src (!i + 2) with
-        | Some cands -> IdSet.iter add cands
-        | None -> src.s_iter_topo add);
+        | Some cands -> IdSet.iter (fun c -> add (src.s_node c)) cands
+        | None -> src.s_iter_nodes add);
         incr i
     | None, Plan.S_filter q ->
         IdSet.iter

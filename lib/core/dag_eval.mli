@@ -3,7 +3,8 @@
     Bottom-up: the paper's dynamic program over L and the sub-expression
     order of filters, computing val(q, v) and (through the // recurrence)
     desc(q, v) per filter suffix — here cell by cell, each computed the
-    first time it is read and memoized; no pass runs over L for it.
+    first time it is read and memoized; no pass runs over L for it, and
+    nothing else here reads L.
     Top-down: forward frontiers C_i, refined backward into the nodes on
     successful matches, yielding r[[p]], the arrival edges Ep(r) and the
     side-effect set S. A [//] step followed by a label step [a] takes
@@ -31,7 +32,6 @@
     in {!tables} for one evaluation. *)
 
 module Store = Rxv_dag.Store
-module Topo = Rxv_dag.Topo
 module Reach = Rxv_dag.Reach
 module Plan = Rxv_xpath.Plan
 
@@ -58,12 +58,12 @@ type result = {
 
 (** {2 The view reader}
 
-    Both passes read (store, L, M) through a first-class {!src} record,
-    so the same evaluator runs against the live mutable structures
+    Both passes read (store, M) through a first-class {!src} record, so
+    the same evaluator runs against the live mutable structures
     ({!live_src}) or against the frozen views captured by
-    {!Store.freeze}/{!Topo.freeze}/{!Reach.freeze} ({!view_src}) — the
-    MVCC snapshot read path. The three views must have been frozen at
-    the same quiescent instant. *)
+    {!Store.freeze}/{!Reach.freeze} ({!view_src}) — the MVCC snapshot
+    read path. The two views must have been frozen at the same
+    quiescent instant. *)
 
 type src
 
@@ -73,11 +73,10 @@ type text_nodes = string -> string -> int list option
     view, at most one); [None] for labels without a lookup. A lookup
     must answer for the state the reader reads. *)
 
-val live_src : text_nodes:text_nodes -> Store.t -> Topo.t -> Reach.t -> src
+val live_src : text_nodes:text_nodes -> Store.t -> Reach.t -> src
 (** [fun _ _ -> None] for [text_nodes] anchors no value filter *)
 
-val view_src :
-  text_nodes:text_nodes -> Store.view -> Topo.view -> Reach.view -> src
+val view_src : text_nodes:text_nodes -> Store.view -> Reach.view -> src
 
 val eval_plan_src : src -> Plan.t -> result
 (** evaluate the plan from the root of the view, on new tables *)

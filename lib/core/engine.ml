@@ -179,7 +179,6 @@ let of_durable ?(seed = 20070415) (atg : Atg.t) (db : Database.t)
 
 let attach_wal (e : t) (hook : wal_hook) = e.wal <- Some hook
 let detach_wal (e : t) = e.wal <- None
-let wal_attached (e : t) = e.wal <> None
 
 (** Fire the WAL hook for a committed top-level mutation. Inside an open
     frame ([Txn] / [apply_group] / [dry_run]) nothing is logged — the
@@ -187,15 +186,14 @@ let wal_attached (e : t) = e.wal <> None
     reaches the log. [depth] is the journal depth at which this call
     site is top-level: 0 for a plain [apply] (logged after its commit),
     1 for [apply_group] (logged {e inside} its own frame, just before
-    commit, so a failed append can still abort the group). Pure no-ops
-    (empty ΔR, unchanged seed) are skipped: the view is a function of
-    the database, so they carry no durable state. *)
-let wal_log ?(depth = 0) (e : t) ~(seed_before : int)
-    (delta_r : Group_update.t) : unit =
+    commit, so a failed append can still abort the group). A commit
+    whose ΔR is empty is logged too: the batcher numbers every
+    committed group, and replication and recovery count one record per
+    commit. *)
+let wal_log ?(depth = 0) (e : t) (delta_r : Group_update.t) : unit =
   match e.wal with
   | Some hook
-    when Rxv_relational.Journal.depth (Database.journal e.db) = depth
-         && (not (Group_update.is_empty delta_r) || e.seed <> seed_before) ->
+    when Rxv_relational.Journal.depth (Database.journal e.db) = depth ->
       hook.on_commit delta_r ~seed:e.seed
   | Some _ | None -> ()
 
@@ -206,7 +204,7 @@ let now () = Unix.gettimeofday ()
 let live_src (e : t) =
   Dag_eval.live_src
     ~text_nodes:(text_nodes e.text_types (Store.find_id e.store))
-    e.store e.topo e.reach
+    e.store e.reach
 
 (* Every XPath evaluation of the engine, live or on a snapshot, compiles
    its path and evaluates it on new tables. *)
@@ -385,7 +383,6 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
 (** [apply e u ~policy] processes one XML view update end to end. *)
 let apply ?(policy : policy = `Proceed) (e : t) (u : Xupdate.t) :
     (report, rejection) Stdlib.result =
-  let seed_before = e.seed in
   let result =
     match u with
     | Xupdate.Delete path -> apply_delete e ~policy path
@@ -394,7 +391,7 @@ let apply ?(policy : policy = `Proceed) (e : t) (u : Xupdate.t) :
   in
   (match result with
   | Ok r ->
-      wal_log e ~seed_before r.delta_r;
+      wal_log e r.delta_r;
       Log.info (fun m ->
           m "%a: applied, |ΔR|=%d, %d selected%s" Xupdate.pp u
             (Group_update.size r.delta_r)
@@ -568,9 +565,10 @@ let reset_from (e : t) (db : Database.t) (store : Store.t) ~(seed : int) :
 (** {2 MVCC snapshots}
 
     A snapshot is an immutable image of the committed view state: the
-    frozen store, L and M views. Capture is O(touched nodes since the
-    last capture) — the persistent per-structure views share everything
-    untouched — and reads against a snapshot take no engine lock at all:
+    frozen store and M views, all that XPath evaluation reads. Capture
+    is O(touched nodes since the last capture) — the persistent
+    per-structure views share everything untouched — and reads against
+    a snapshot take no engine lock at all:
     the writer can mutate (and even commit further updates)
     concurrently. *)
 
@@ -580,7 +578,6 @@ module Snapshot = struct
   type t = {
     owner : engine;
     store_view : Store.view;
-    topo_view : Topo.view;
     reach_view : Reach.view;
     src : Dag_eval.src;
     evals_at_capture : int * int;  (** (memo hits, evaluations) counters *)
@@ -598,18 +595,16 @@ module Snapshot = struct
     if Rxv_relational.Journal.depth (Database.journal e.db) > 0 then
       invalid_arg "Engine.Snapshot.capture: transaction frame open";
     let store_view = Store.freeze e.store in
-    let topo_view = Topo.freeze e.topo in
     let reach_view = Reach.freeze e.reach in
     {
       owner = e;
       store_view;
-      topo_view;
       reach_view;
       src =
         Dag_eval.view_src
           ~text_nodes:
             (text_nodes e.text_types (Store.view_find_text_node store_view))
-          store_view topo_view reach_view;
+          store_view reach_view;
       evals_at_capture = (Atomic.get e.memo_hits, Atomic.get e.evaluations);
       sat_counters = Vinsert.counters e.sat;
       reads_at_capture =
@@ -665,7 +660,8 @@ module Snapshot = struct
             n_nodes = Store.view_n_nodes v;
             n_edges = Store.view_n_edges v;
             m_size = Reach.view_size s.reach_view;
-            l_size = Topo.view_live_count s.topo_view;
+            (* L holds every node, as Topo.is_valid checks *)
+            l_size = Store.view_n_nodes v;
             occurrences;
             sharing;
             txn_depth = 0;
@@ -689,7 +685,6 @@ end
     before the group; on rejection the failing index is returned. *)
 let apply_group ?(policy : policy = `Proceed) (e : t) (us : Xupdate.t list) :
     (report list, int * rejection) Stdlib.result =
-  let seed_before = e.seed in
   let txn = Txn.begin_ e in
   let rec go i acc = function
     | [] -> (
@@ -700,8 +695,7 @@ let apply_group ?(policy : policy = `Proceed) (e : t) (us : Xupdate.t list) :
            (disk error, torn append) the whole group rolls back at O(Δ)
            cost instead of leaving the engine ahead of its own log. *)
         match
-          wal_log ~depth:1 e ~seed_before
-            (List.concat_map (fun r -> r.delta_r) reports)
+          wal_log ~depth:1 e (List.concat_map (fun r -> r.delta_r) reports)
         with
         | () ->
             Txn.commit e txn;

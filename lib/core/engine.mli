@@ -17,10 +17,11 @@ module Atg = Rxv_atg.Atg
 
 (** Durability hook: a write-ahead log attached to the engine (see
     [Rxv_persist]). [on_commit] is invoked once per committed top-level
-    update or update group — never inside an open transaction frame, so
-    aborted groups and dry runs are not logged — with the combined ΔR
-    and the WalkSAT seed after the commit. [records_since_checkpoint]
-    backs the {!stats} field of the same name. *)
+    update or update group, empty ΔR included — never inside an open
+    transaction frame, so aborted groups and dry runs are not logged —
+    with the combined ΔR and the WalkSAT seed after the commit.
+    [records_since_checkpoint] backs the {!stats} field of the same
+    name. *)
 type wal_hook = {
   on_commit : Group_update.t -> seed:int -> unit;
   records_since_checkpoint : unit -> int;
@@ -107,7 +108,6 @@ val attach_wal : t -> wal_hook -> unit
 (** install the durability hook; replaces any previous one *)
 
 val detach_wal : t -> unit
-val wal_attached : t -> bool
 
 val apply : ?policy:policy -> t -> Xupdate.t -> (report, rejection) result
 (** process one XML view update end to end; [policy] defaults to
@@ -119,7 +119,7 @@ val query : t -> Rxv_xpath.Ast.path -> Dag_eval.result
     is. Nothing is kept between reads. *)
 
 val live_src : t -> Dag_eval.src
-(** the reader {!query} evaluates through: the live store, L and M, with
+(** the reader {!query} evaluates through: the live store and M, with
     the text lookup that anchors value filters over {!field-text_types}.
     Valid until the next mutation. *)
 
@@ -199,14 +199,14 @@ val reset_from : t -> Database.t -> Store.t -> seed:int -> unit
 
 (** {2 MVCC snapshots}
 
-    An immutable image of the committed view state — the frozen store,
-    L and M views. XPath reads need nothing else; the base database is not captured. Capture costs
-    O(nodes touched since the previous capture): the store keeps a
-    persistent committed view and patches only its dirty nodes, and the
-    L and M arrays are shared copy-on-write. Reads against
-    a snapshot take {e no} engine lock: the writer may mutate, commit
-    and publish further snapshots concurrently, and the snapshot still
-    answers from its own state. *)
+    An immutable image of the committed view state — the frozen store
+    and M views. XPath reads need nothing else; neither L nor the base
+    database is captured. Capture costs O(nodes touched since the
+    previous capture): the store keeps a persistent committed view and
+    patches only its dirty nodes, and M's rows are shared
+    copy-on-write. Reads against a snapshot take {e no} engine lock: the
+    writer may mutate, commit and publish further snapshots
+    concurrently, and the snapshot still answers from its own state. *)
 
 module Snapshot : sig
   type engine := t

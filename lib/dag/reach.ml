@@ -5,19 +5,11 @@
     node's proper-ancestor set, indexed by node *slots* (the dense indexes
     the store hands out and recycles). With that layout Algorithm Reach's
     inner union is a word-wise OR (a sorted merge of the rows' nonzero
-    words), [is_ancestor] a binary search + bit test, |anc(d)| and |M| are
-    popcounts, and [descendants] reads an indexed reverse matrix instead
-    of scanning all of M. Rows store only their nonzero words: ancestor
-    sets are a sliver of the slot universe (|M| ≪ n², Fig. 10(b)), so M
-    costs O(|M|) memory, not O(n²/63) — at 100K cells the latter is
-    gigabytes of live heap and loses to GC pressure everything the
-    word-wise ops gain.
-
-    The reverse (descendant) index is built lazily from the ancestor rows
-    on first use and invalidated by any mutation: nothing on the
-    maintenance hot path reads it, so Δ(M,L)insert/delete pay only the
-    forward-row updates, while repeated [descendants] queries between
-    mutations are O(|row|) after one O(|M|) build.
+    words), [is_ancestor] a binary search + bit test and |M| a popcount.
+    Rows store only their nonzero words: ancestor sets are a sliver of
+    the slot universe (|M| ≪ n², Fig. 10(b)), so M costs O(|M|) memory,
+    not O(n²/63) — at 100K cells the latter is gigabytes of live heap
+    and loses to GC pressure everything the word-wise ops gain.
 
     Rows are bound to a specific store (for the slot↔id mapping);
     snapshots must pair a copied matrix with the copied store ({!copy}).
@@ -32,8 +24,6 @@ module Journal = Rxv_relational.Journal
 type t = {
   store : Store.t;
   mutable anc : Sparse.t array;  (** slot -> proper-ancestor slot set *)
-  mutable desc : Sparse.t array option;
-      (** lazy reverse index: slot -> descendant slot set *)
   journal : Journal.t;
       (** undo journal; in-place row mutators copy-on-write each touched
           row once per frame, so abort restores only the touched rows *)
@@ -55,15 +45,12 @@ let create (store : Store.t) : t =
   {
     store;
     anc = [||];
-    desc = None;
     journal = Journal.create ();
     touched = [];
     arr_shared = false;
     ever_frozen = false;
     privatized = Hashtbl.create 64;
   }
-
-let invalidate m = m.desc <- None
 
 let journal m = m.journal
 
@@ -83,8 +70,7 @@ let commit m =
 
 let abort m =
   Journal.abort m.journal;
-  (match m.touched with [] -> () | _ :: rest -> m.touched <- rest);
-  invalidate m
+  match m.touched with [] -> () | _ :: rest -> m.touched <- rest
 
 let recording m = Journal.recording m.journal
 
@@ -195,21 +181,8 @@ let ancestors m d =
   iter_ancestors (fun a -> acc := a :: !acc) m d;
   !acc
 
-let n_ancestors m d =
-  if Store.mem_node m.store d then
-    let sd = slot_of m d in
-    if sd < Array.length m.anc then Sparse.pop_count m.anc.(sd) else 0
-  else 0
-
 (** Total number of (anc, desc) pairs — the |M| of Fig. 10(b). *)
 let size m = Array.fold_left (fun acc r -> acc + Sparse.pop_count r) 0 m.anc
-
-let add_pair m a d =
-  let sd = slot_of m d in
-  ensure_slot m sd;
-  cow m sd;
-  Sparse.set m.anc.(sd) (slot_of m a);
-  invalidate m
 
 let remove_pair m a d =
   if Store.mem_node m.store a && Store.mem_node m.store d then begin
@@ -217,8 +190,7 @@ let remove_pair m a d =
     if sd < Array.length m.anc then begin
       cow m sd;
       Sparse.clear m.anc.(sd) (slot_of m a)
-    end;
-    invalidate m
+    end
   end
 
 (** Forget [id]'s row entirely (node removal; its slot may be recycled).
@@ -231,8 +203,7 @@ let remove_row m id =
     if s < Array.length m.anc then begin
       save_row m s;
       m.anc.(s) <- Sparse.create ()
-    end;
-    invalidate m
+    end
   end
 
 (** {2 Maintenance row operations} — the ΔM inner loops of Figs. 7–8,
@@ -257,8 +228,7 @@ let absorb_parents m d ~parents =
   let sd = slot_of m d in
   ensure_slot m sd;
   cow m sd;
-  Sparse.union_into ~dst:m.anc.(sd) (bits_of_parents m d parents);
-  invalidate m
+  Sparse.union_into ~dst:m.anc.(sd) (bits_of_parents m d parents)
 
 (** [replace_row_from_parents m d ~parents]: anc(d) := ∪_p ({p} ∪ anc(p))
     — the row-rebuilding step of Δ(M,L)delete (Fig. 8). *)
@@ -267,8 +237,7 @@ let replace_row_from_parents m d ~parents =
   ensure_slot m sd;
   let bits = bits_of_parents m d parents in
   save_row m sd;
-  m.anc.(sd) <- bits;
-  invalidate m
+  m.anc.(sd) <- bits
 
 (** {2 Read access for the DAG evaluator} — slot-set queries against the
     forward rows; [slot_of] lets callers build (dense) query sets
@@ -283,41 +252,6 @@ let anc_intersects m id (bits : Bitset.t) =
 let union_row_into m id ~(dst : Bitset.t) =
   let s = slot_of m id in
   if s < Array.length m.anc then Sparse.union_into_dense ~dst m.anc.(s)
-
-(** {2 Descendants via the reverse index} *)
-
-let desc_index m =
-  match m.desc with
-  | Some d -> d
-  | None ->
-      let n = Array.length m.anc in
-      let d = Array.init n (fun _ -> Sparse.create ()) in
-      (* sd ascends, so each reverse row is appended in order — no
-         insertion shifting even for high-fanout ancestors *)
-      for sd = 0 to n - 1 do
-        Sparse.iter_bits m.anc.(sd) (fun sa -> Sparse.set d.(sa) sd)
-      done;
-      m.desc <- Some d;
-      d
-
-let iter_descendants f m a =
-  if Store.mem_node m.store a then begin
-    let d = desc_index m in
-    let sa = slot_of m a in
-    if sa < Array.length d then
-      Sparse.iter_bits d.(sa) (fun s ->
-          match Store.id_of_slot m.store s with
-          | Some id -> f id
-          | None -> ())
-  end
-
-(** Descendants of [a], as node ids: an indexed reverse lookup. The index
-    is rebuilt (O(|M|)) on the first query after a mutation, then each
-    query is O(|desc(a)|). *)
-let descendants m a =
-  let acc = ref [] in
-  iter_descendants (fun id -> acc := id :: !acc) m a;
-  !acc
 
 (** Algorithm Reach (Fig. 4): M from the edge relations and the
     topological order. Processing L backwards (root side first)
@@ -364,7 +298,6 @@ let copy ~(store : Store.t) (m : t) : t =
   {
     store;
     anc = Array.map Sparse.copy m.anc;
-    desc = None;
     journal = Journal.create ();
     touched = [];
     arr_shared = false;

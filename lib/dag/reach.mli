@@ -1,9 +1,8 @@
 (** The reachability matrix M (Section 3.1) and Algorithm Reach (Fig. 4).
     M(anc, desc) holds exactly when [anc] is a proper ancestor of [desc];
     stored as one slot-indexed {!Bitset} per node, so Algorithm Reach's
-    inner union is a word-wise OR, [is_ancestor] a bit test, |M| a
-    popcount and [descendants] an indexed reverse lookup. Bound to the
-    store that assigns the slots. *)
+    inner union is a word-wise OR, [is_ancestor] a bit test and |M| a
+    popcount. Bound to the store that assigns the slots. *)
 
 type t
 
@@ -24,7 +23,7 @@ val commit : t -> unit
 
 val abort : t -> unit
 (** restore every row touched since the matching {!begin_} — O(touched
-    rows), not O(|M|) — and invalidate the lazy descendant index.
+    rows), not O(|M|).
     @raise Rxv_relational.Journal.No_transaction without a frame *)
 
 val slot_of : t -> int -> int
@@ -41,20 +40,9 @@ val is_ancestor_or_self : t -> int -> int -> bool
 val ancestors : t -> int -> int list
 val iter_ancestors : (int -> unit) -> t -> int -> unit
 
-val n_ancestors : t -> int -> int
-(** |anc(d)|: a popcount over d's row *)
-
-val descendants : t -> int -> int list
-(** indexed reverse lookup. The reverse matrix is rebuilt (O(|M|)) on the
-    first query after a mutation — nothing on the maintenance hot path
-    pays for it — then each query is O(|desc(a)|). *)
-
-val iter_descendants : (int -> unit) -> t -> int -> unit
-
 val size : t -> int
 (** |M|: total (anc, desc) pairs, by popcount *)
 
-val add_pair : t -> int -> int -> unit
 val remove_pair : t -> int -> int -> unit
 
 val remove_row : t -> int -> unit

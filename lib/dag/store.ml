@@ -255,8 +255,6 @@ let in_degree t id =
   | Some tbl -> Itbl.length tbl
   | None -> 0
 
-let out_degree t id = List.length (children t id)
-
 let mem_edge t u v = Hashtbl.mem t.edges (u, v)
 
 let edge_info t u v =

@@ -68,7 +68,6 @@ val children : t -> int -> int list
 
 val parents : t -> int -> int list
 val in_degree : t -> int -> int
-val out_degree : t -> int -> int
 
 val mem_edge : t -> int -> int -> bool
 val edge_info : t -> int -> int -> edge_info

@@ -2,8 +2,8 @@
 
     L lists every distinct node of the DAG such that u precedes v only if
     u is *not* an ancestor of v — i.e. descendants come first and the root
-    comes last. Algorithm Reach consumes L backwards (root first); the
-    bottom-up XPath pass consumes it forwards (leaves first).
+    comes last. Algorithm Reach and the delete maintenance consume L
+    backwards (root first); XPath evaluation does not read it.
 
     The structure supports the operations the maintenance algorithms of
     Section 3.4 need: ordinal comparison, the paper's [swap(L, u, v)] move
@@ -29,9 +29,6 @@ type t = {
       (** undo journal; each mutator records an exact inverse while a
           frame is open. Auto-compaction is deferred while a frame is
           open so recorded indices stay valid. *)
-  mutable shared : bool;
-      (** [arr] is referenced by a frozen view; the next in-place write
-          must copy it first ({!unshare}) *)
 }
 
 exception Topo_error of string
@@ -43,16 +40,6 @@ let begin_ l = Journal.begin_ l.journal
 let commit l = Journal.commit l.journal
 let abort l = Journal.abort l.journal
 let recording l = Journal.recording l.journal
-
-(* Lazy copy-on-write against frozen views: the first in-place order
-   mutation after a freeze privatizes the array with one shallow copy;
-   undo closures read [l.arr] through the record field (or capture the
-   post-unshare object), so rollback also lands on the private copy. *)
-let unshare l =
-  if l.shared then begin
-    l.arr <- Array.copy l.arr;
-    l.shared <- false
-  end
 
 let ensure_pos l id =
   let n = Array.length l.pos in
@@ -75,7 +62,6 @@ let of_ids (ids : int list) : t =
       pos = [||];
       live = 0;
       journal = Journal.create ();
-      shared = false;
     }
   in
   Array.iteri
@@ -156,8 +142,6 @@ let iter_backward f l =
   done
 
 let compact l =
-  (* the fresh array is private by construction *)
-  l.shared <- false;
   let arr = Array.make (max 8 l.live) (-1) in
   let j = ref 0 in
   for i = 0 to l.len - 1 do
@@ -172,7 +156,6 @@ let compact l =
 
 let remove l id =
   if mem l id then begin
-    unshare l;
     let i = l.pos.(id) in
     l.arr.(i) <- -1;
     l.pos.(id) <- -1;
@@ -200,7 +183,6 @@ let remove l id =
 let swap l u v ~is_desc_of_v =
   let iu = ord l u and iv = ord l v in
   if iu < iv then begin
-    unshare l;
     (* inverse: restore the permuted window verbatim (positions included;
        tombstones are skipped — their pos entries were never touched) *)
     if recording l then begin
@@ -245,7 +227,6 @@ let insert_before l ~anchor ids =
         if mem l id then topo_error "insert_before: node %d already in L" id)
       ids;
     let ia = ord l anchor in
-    unshare l;
     let k = List.length ids in
     (* inverse: re-install the original array objects (growing swaps
        [l.arr], and [ensure_pos] may swap [l.pos]), clear the new ids'
@@ -311,26 +292,4 @@ let copy l =
     pos = Array.copy l.pos;
     live = l.live;
     journal = Journal.create ();
-    shared = false;
   }
-
-(** {2 Frozen views (MVCC snapshot reads)}
-
-    Freezing is O(1): it captures the current array object and flags it
-    shared, so the next in-place mutation pays one shallow copy and all
-    later ones are free. A view supports exactly what the read path
-    needs — forward (leaves-first) iteration and the live count. *)
-
-type view = { tv_arr : int array; tv_len : int; tv_live : int }
-
-let freeze l =
-  l.shared <- true;
-  { tv_arr = l.arr; tv_len = l.len; tv_live = l.live }
-
-(** Forward iteration over the view: leaves first. *)
-let view_iter f v =
-  for i = 0 to v.tv_len - 1 do
-    if v.tv_arr.(i) >= 0 then f v.tv_arr.(i)
-  done
-
-let view_live_count v = v.tv_live

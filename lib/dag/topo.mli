@@ -1,7 +1,7 @@
 (** The topological order L of Section 3.1: every distinct node, with u
     preceding v only if u is not an ancestor of v — descendants first,
-    root last. Algorithm Reach consumes L backwards; the bottom-up XPath
-    pass consumes it forwards. Supports the maintenance operations of
+    root last. Algorithm Reach and the delete maintenance consume L
+    backwards; XPath evaluation does not read it. Supports the maintenance operations of
     Section 3.4: ordinal comparison, the paper's [swap(L, u, v)] move,
     tombstoned removal and splicing new nodes before an anchor. *)
 
@@ -68,17 +68,3 @@ val pp : Format.formatter -> t -> unit
 
 val copy : t -> t
 (** deep copy — used by test oracles; the copy gets a fresh journal *)
-
-(** {2 Frozen views} *)
-
-type view
-(** an immutable image of the order. Freezing is O(1) — the next
-    in-place mutation of the live order pays one shallow array copy
-    (lazy copy-on-write), later ones are free. *)
-
-val freeze : t -> view
-
-val view_iter : (int -> unit) -> view -> unit
-(** forward: leaves first *)
-
-val view_live_count : view -> int

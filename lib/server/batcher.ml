@@ -113,7 +113,8 @@ let really_apply t job =
         Failed (Printexc.to_string exn)
   in
   (* whatever happened, never let a staged origin leak into a later,
-     unrelated record (e.g. when the commit produced no WAL append) *)
+     unrelated record (e.g. when the group was rejected and appended no
+     WAL record) *)
   t.origin_hook None;
   outcome
 

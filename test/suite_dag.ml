@@ -281,8 +281,7 @@ let maintenance_matches_recompute =
 
 (* --- interleaved Δ(M,L)insert/delete directly on random stores:
    after every step the bitset-backed M must equal a from-scratch
-   Algorithm Reach, L must stay valid, and the lazy reverse (descendant)
-   index must agree with the forward rows --- *)
+   Algorithm Reach and L must stay valid --- *)
 
 let interleaved_maintenance =
   Helpers.qtest ~count:100 "interleaved Δ(M,L) ops ≡ recompute (bitset M)"
@@ -304,12 +303,7 @@ let interleaved_maintenance =
         let l_ok = Topo.is_valid l store in
         let m' = Reach.compute store (Topo.of_store store) in
         let m_ok = Reach.equal m m' store in
-        (* reverse index vs a naive scan of the forward relation *)
-        let ids = live () in
-        let a = pick ids in
-        let naive_desc = List.filter (fun x -> Reach.is_ancestor m a x) ids in
-        let desc_ok = List.sort compare (Reach.descendants m a) = naive_desc in
-        if not (l_ok && m_ok && desc_ok) then ok := false
+        if not (l_ok && m_ok) then ok := false
       in
       for _ = 1 to 12 do
         if !ok then begin

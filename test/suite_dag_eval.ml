@@ -218,10 +218,10 @@ let delete_subset_of_insert =
    engine's reader, value filters anchored) and through a snapshot must
    equal the oracle on all six result fields; a snapshot pinned before
    the first act must keep its answers. The probes take each route a
-   [//] step has: anchored candidates ([//c[cid=..]]), a pass over L
-   ([//course], [//c[sub/c]]), from a frontier below the root, and the
-   walk ([//*], a trailing [//]); and filters whose literal names
-   no node ([cid=07] prints back as no key). *)
+   [//] step has: anchored candidates ([//c[cid=..]]), a pass over the
+   node table ([//course], [//c[sub/c]]), from a frontier below the
+   root, and the walk ([//*], a trailing [//]); and filters whose
+   literal names no node ([cid=07] prints back as no key). *)
 
 let reads_match_oracle (e : Engine.t) ~probes ~act acts =
   let pinned = Engine.Snapshot.capture e in

@@ -152,9 +152,9 @@ let with_structures store f =
   f l m
 
 (* Dag_eval with the t lookup, so value filters over t are anchored *)
-let eval store l m p =
+let eval store m p =
   Dag_eval.eval_plan_src
-    (Dag_eval.live_src ~text_nodes:(text_nodes store) store l m)
+    (Dag_eval.live_src ~text_nodes:(text_nodes store) store m)
     (Plan.compile p)
 
 let selected_match =
@@ -164,8 +164,8 @@ let selected_match =
       let store = build_store params in
       if not (tree_small store) then true
       else
-        with_structures store (fun l m ->
-            let dag = eval store l m p in
+        with_structures store (fun _ m ->
+            let dag = eval store m p in
             let tree = Store.to_tree store in
             let got = List.sort_uniq compare dag.Dag_eval.selected in
             let expect = Tree_eval.selected_uids tree p in
@@ -182,8 +182,8 @@ let arrivals_match =
       let store = build_store params in
       if not (tree_small store) then true
       else
-        with_structures store (fun l m ->
-            let dag = eval store l m p in
+        with_structures store (fun _ m ->
+            let dag = eval store m p in
             if dag.Dag_eval.zero_move_match then true
             else
               let tree = Store.to_tree store in
@@ -201,8 +201,8 @@ let side_effects_sound =
       let store = build_store params in
       if not (tree_small store) then true
       else
-        with_structures store (fun l m ->
-            let dag = eval store l m p in
+        with_structures store (fun _ m ->
+            let dag = eval store m p in
             if
               dag.Dag_eval.side_effects_delete <> []
               || dag.Dag_eval.selected = []
@@ -249,8 +249,8 @@ let insert_side_effects_sound =
       let store = build_store params in
       if not (tree_small store) then true
       else
-        with_structures store (fun l m ->
-            let dag = eval store l m p in
+        with_structures store (fun _ m ->
+            let dag = eval store m p in
             if dag.Dag_eval.side_effects <> [] || dag.Dag_eval.selected = []
             then true
             else begin
@@ -288,7 +288,7 @@ let oracle_match =
     (fun (params, p) ->
       let store = build_store params in
       with_structures store (fun l m ->
-          Helpers.norm (eval store l m p)
+          Helpers.norm (eval store m p)
           = Helpers.norm (Dag_eval_oracle.eval store l m p)))
 
 (* A plan may reference one path filter after two different labels,
@@ -323,10 +323,10 @@ let test_shared_filter_gate () =
       labels = [| "a"; "b"; "c" |];
     }
   in
-  with_structures store (fun l m ->
+  with_structures store (fun _ m ->
       let r =
         Dag_eval.eval_plan_src
-          (Dag_eval.live_src ~text_nodes:(fun _ _ -> None) store l m)
+          (Dag_eval.live_src ~text_nodes:(fun _ _ -> None) store m)
           plan
       in
       Alcotest.(check (list int)) "a[c and b[c]]" [ a1 ] r.Dag_eval.selected)

@@ -180,6 +180,42 @@ let test_query_at_bounds () =
   | Ok _ -> Alcotest.fail "future pin answered stale"
   | Error (`Err m) -> Alcotest.failf "future pin error: %s" m
 
+(* ---- a committed group whose ΔR is empty is still one record ---- *)
+
+let test_noop_group_one_record () =
+  with_dir @@ fun dir ->
+  let psock = fresh_sock () in
+  let p, psrv = start_primary dir psock in
+  let rsrv, rsock = start_replica_server () in
+  let f = start_follower ~name:"r1" rsrv psock in
+  Fun.protect
+    ~finally:(fun () ->
+      Follower.stop f;
+      Server.stop rsrv;
+      Server.stop psrv)
+  @@ fun () ->
+  let c = Client.connect psock in
+  let seqs =
+    List.map
+      (fun op ->
+        match Client.update c [ op ] with
+        | `Applied (seq, _) -> seq
+        | _ -> Alcotest.fail "update not applied")
+      [ fresh_ins (); Proto.Delete "//course[cno=NOPE]"; fresh_ins () ]
+  in
+  Client.close c;
+  Alcotest.(check (list int)) "commit numbers" [ 1; 2; 3 ] seqs;
+  Alcotest.(check int) "one WAL record per commit" 3
+    (Persist.records_since_checkpoint p);
+  check "follower reached commit 3" true
+    (await (fun () -> Follower.after f >= 3));
+  let rc = Client.connect rsock in
+  Fun.protect ~finally:(fun () -> Client.close rc) @@ fun () ->
+  match Client.query_at rc ~min_seq:3 ~wait_ms:2000 "//course" with
+  | Ok (n, _) -> check "read pinned at commit 3 answered" true (n > 0)
+  | Error (`Behind m) -> Alcotest.failf "pinned read behind: %s" m
+  | Error (`Err m) -> Alcotest.failf "pinned read error: %s" m
+
 (* ---- checkpoint bootstrap: joining past the WAL horizon ---- *)
 
 let test_checkpoint_bootstrap () =
@@ -747,6 +783,8 @@ let tests =
     Alcotest.test_case "tail-stream, serve, reject writes" `Quick
       test_stream_basic;
     Alcotest.test_case "bounded-staleness reads" `Quick test_query_at_bounds;
+    Alcotest.test_case "no-op group is one commit, one record" `Quick
+      test_noop_group_one_record;
     Alcotest.test_case "checkpoint bootstrap past horizon" `Quick
       test_checkpoint_bootstrap;
     Alcotest.test_case "volatile primary refuses stream" `Quick

@@ -450,7 +450,7 @@ module Interleaving = struct
          (Dag_eval.eval_plan_src
             (Dag_eval.live_src
                ~text_nodes:(fun _ _ -> None)
-               e.Engine.store e.Engine.topo e.Engine.reach)
+               e.Engine.store e.Engine.reach)
             (Plan.compile path))
        = reference
 

@@ -256,15 +256,16 @@ let gadget_dtd =
       ("alarm", Dtd.Pcdata);
     ]
 
+(* items: Sel ⋈ S on k — inserting an item requires an S tuple with an
+   undetermined flag *)
+let gadget_q_items =
+  Spj.make ~name:"Qitems"
+    ~from:[ ("sel", "Sel"); ("s", "S") ]
+    ~where:[ Spj.eq (Spj.col "sel" "k") (Spj.col "s" "k") ]
+    ~select:[ ("k", Spj.col "s" "k") ]
+
 let gadget_atg () =
-  (* items: Sel ⋈ S on k — inserting an item requires an S tuple with an
-     undetermined flag. alarms: S ⋈ W on k and flag = wflag. *)
-  let q_items =
-    Spj.make ~name:"Qitems"
-      ~from:[ ("sel", "Sel"); ("s", "S") ]
-      ~where:[ Spj.eq (Spj.col "sel" "k") (Spj.col "s" "k") ]
-      ~select:[ ("k", Spj.col "s" "k") ]
-  in
+  (* alarms: S ⋈ W on k and flag = wflag *)
   let q_alarms =
     Spj.make ~name:"Qalarms"
       ~from:[ ("s", "S"); ("w", "W") ]
@@ -278,7 +279,7 @@ let gadget_atg () =
   Atg.make ~name:"gadget" ~schema:gadget_schema ~dtd:gadget_dtd
     [
       ("root", Atg.R_seq [ ("items", [||]); ("alarms", [||]) ]);
-      ("items", Atg.star q_items);
+      ("items", Atg.star gadget_q_items);
       ("alarms", Atg.star q_alarms);
       ("item", Atg.R_pcdata 0);
       ("alarm", Atg.R_pcdata 0);
@@ -340,6 +341,79 @@ let test_gadget_no_witness_free () =
       | Ok () -> ()
       | Error m -> Alcotest.fail m)
   | Error r -> Alcotest.failf "rejected: %a" Engine.pp_rejection r
+
+(* --- canonical models: the translation does not depend on the seed ---
+
+   A two-boolean variant of the gadget: S(k, f1, f2), W(j, k, w1, w2)
+   and an alarm per S ⋈ W on k, f1 = w1 and f2 = w2. Inserting an item
+   for k leaves (f1, f2) free apart from the witnesses for k, so the CNF
+   has two or three models and WalkSAT's seed decides which one it
+   finds first; the canonical model must make every seed agree. *)
+
+let gadget2_schema =
+  Schema.db
+    [
+      Schema.relation "S"
+        [
+          Schema.attr "k" Value.TInt;
+          Schema.attr "f1" Value.TBool;
+          Schema.attr "f2" Value.TBool;
+        ]
+        ~key:[ "k" ];
+      Schema.relation "W"
+        [
+          Schema.attr "j" Value.TInt;
+          Schema.attr "k" Value.TInt;
+          Schema.attr "w1" Value.TBool;
+          Schema.attr "w2" Value.TBool;
+        ]
+        ~key:[ "j" ];
+      Schema.relation "Sel" [ Schema.attr "k" Value.TInt ] ~key:[ "k" ];
+    ]
+
+let gadget2_atg () =
+  let q_alarms =
+    Spj.make ~name:"Qalarms"
+      ~from:[ ("s", "S"); ("w", "W") ]
+      ~where:
+        [
+          Spj.eq (Spj.col "s" "k") (Spj.col "w" "k");
+          Spj.eq (Spj.col "s" "f1") (Spj.col "w" "w1");
+          Spj.eq (Spj.col "s" "f2") (Spj.col "w" "w2");
+        ]
+      ~select:[ ("j", Spj.col "w" "j") ]
+  in
+  Atg.make ~name:"gadget2" ~schema:gadget2_schema ~dtd:gadget_dtd
+    [
+      ("root", Atg.R_seq [ ("items", [||]); ("alarms", [||]) ]);
+      ("items", Atg.star gadget_q_items);
+      ("alarms", Atg.star q_alarms);
+      ("item", Atg.R_pcdata 0);
+      ("alarm", Atg.R_pcdata 0);
+    ]
+
+let test_translation_independent_of_seed () =
+  List.iter
+    (fun witnesses ->
+      let delta_rs =
+        List.init 64 (fun n ->
+            let db = Database.create gadget2_schema in
+            List.iteri
+              (fun j (w1, w2) ->
+                Database.insert db "W" [| i (j + 1); i 1; b w1; b w2 |])
+              witnesses;
+            Database.insert db "Sel" [| i 1 |];
+            let e = Engine.create ~seed:(1 + (7919 * n)) (gadget2_atg ()) db in
+            match insert_item e 1 with
+            | Ok report -> report.Engine.delta_r
+            | Error r -> Alcotest.failf "rejected: %a" Engine.pp_rejection r)
+      in
+      check_int
+        (Printf.sprintf "one ΔR over 64 seeds, %d witness(es)"
+           (List.length witnesses))
+        1
+        (List.length (List.sort_uniq compare delta_rs)))
+    [ [ (false, false) ]; [ (true, true) ]; [ (false, true); (true, false) ] ]
 
 (* --- insertion conflicting with an existing key --- *)
 
@@ -448,6 +522,8 @@ let tests =
       test_gadget_both_witnesses_rejected;
     Alcotest.test_case "gadget: no witness free" `Quick
       test_gadget_no_witness_free;
+    Alcotest.test_case "canonical model: ΔR independent of seed" `Quick
+      test_translation_independent_of_seed;
     Alcotest.test_case "insert key conflict rejected" `Quick
       test_insert_key_conflict_rejected;
     Alcotest.test_case "multi-target insert pools templates" `Quick

@@ -1116,18 +1116,18 @@ let min_translate_speedup = ref infinity
 
 (* per size, the cached arm's skeleton hits and op count; the same gate
    fails if an arm hit fewer than nops - 1 (a healthy arm misses only
-   its first op): at |C| = 300 retained indexes and gen_A rows alone
-   keep the speedup above 5x with no skeleton hit at all *)
+   its first op): at |C| = 300 retained relation indexes alone keep
+   the speedup above 5x with no skeleton hit at all *)
 let translate_skel_hits = ref []
 
 (* Two arms replay identical W2 insertion workloads on identical
    engines; they differ only in what survives between operations:
    - cold: the engine's translation cache is cleared and every secondary
      relation index dropped before each op — the pre-cache behavior,
-     paying skeleton construction, gen_A materialization and index
-     builds every time;
+     paying skeleton construction and index builds every time;
    - cached: nothing is dropped — steady-state production behavior,
-     reusing structural skeletons, gen_A row sets and indexes.
+     reusing structural skeletons and indexes.
+   Neither arm copies gen_A: both read it in place from the store.
    Each run of an arm replays its ops back to back on a fresh engine,
    after a full major GC so that garbage left by earlier work (the other
    arm, earlier experiments) is not charged to it. Each arm runs twice,

@@ -50,8 +50,8 @@ type t = {
   mutable seed : int;  (** WalkSAT seed; bumped per insertion *)
   mutable wal : wal_hook option;
   sat : Vinsert.cache;
-      (** incremental insertion-translation state: structural CNF
-          skeletons and gen_A row sets *)
+      (** incremental insertion-translation state: structural
+          skeletons *)
   live_reads : int Atomic.t;  (** queries answered on the live structures *)
   snapshot_reads : int Atomic.t;  (** queries answered on frozen views *)
   evaluations : int Atomic.t;  (** XPath plans evaluated *)

@@ -41,9 +41,9 @@ type t = {
   mutable seed : int;
   mutable wal : wal_hook option;
   sat : Vinsert.cache;
-      (** incremental insertion-translation state (structural CNF
-          skeletons, gen_A row sets) — purely an accelerator, dropped
-          wholesale by {!reset_from} *)
+      (** incremental insertion-translation state (structural
+          skeletons) — purely an accelerator, dropped wholesale by
+          {!reset_from} *)
   live_reads : int Atomic.t;
       (** cumulative {!query} calls (answered on the live structures,
           i.e. under whatever lock the caller holds) *)

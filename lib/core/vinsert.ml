@@ -33,14 +33,15 @@
        variables get surrogates outside the active domain; ΔR and the
        provenance rows of the new edges fall out by substitution.
 
-    {b Skeleton caching.} The expensive structural work — the augmented
-    "+gen" queries per U/A choice and the per-registry gen_A row sets
-    with their join indexes — depends only on the ATG production set and
+    {b Skeleton caching.} The structural work — the augmented "+gen"
+    queries per U/A choice — depends only on the ATG production set and
     which relations carry templates, not on the concrete update. A
     {!cache} (one per engine) keys that skeleton on the sorted
-    template-relation signature and revalidates gen_A rows by
-    {!Store.gen_view} stamps, so steady-state translations rebuild only
-    the per-update template/clause layer. *)
+    template-relation signature, so steady-state translations rebuild
+    only the per-update template/clause layer. gen_A is not copied: it
+    is the store's Skolem table, so a probe of $gen on the whole $A is
+    one {!Store.find_id}, and only a choice that leaves part of $A
+    unconstrained lists the registry. *)
 
 module Store = Rxv_dag.Store
 module Value = Rxv_relational.Value
@@ -161,15 +162,10 @@ end
 
 type freshener = { mutable counter : int; mutable int_base : int }
 
-(* O(#relations): every relation maintains its own Int watermark *)
+(* O(#relations) unless a delete left a relation's watermark stale above
+   every exact one: each relation maintains its own Int watermark *)
 let make_freshener (db : Database.t) =
-  let max_int_seen = ref 0 in
-  Database.iter_relations
-    (fun _ rel ->
-      let c = Rxv_relational.Relation.int_ceiling rel in
-      if c > !max_int_seen then max_int_seen := c)
-    db;
-  { counter = 0; int_base = !max_int_seen + 1_000_000 }
+  { counter = 0; int_base = Database.int_ceiling db + 1_000_000 }
 
 let fresh_value f (ty : Value.ty) : Value.t =
   f.counter <- f.counter + 1;
@@ -321,16 +317,6 @@ type rule_plan = {
   rp_choices : choice_plan list;
 }
 
-(* Incrementally maintained gen_A pseudo-relation rows (ascending node
-   id), revalidated against {!Store.gen_view} stamps: same version ⇒
-   reuse as is; same reset ⇒ append the new suffix; else rebuild. *)
-type gen_entry = {
-  mutable ge_version : int;
-  mutable ge_reset : int;
-  mutable ge_count : int;
-  ge_ix : Symbolic.indexed;
-}
-
 type counters = {
   skeleton_hits : int;
   skeleton_misses : int;
@@ -341,7 +327,6 @@ type cache = {
   mutable c_atg : Atg.t option;  (** a different ATG drops everything *)
   c_skeletons : (string list, rule_plan list) Hashtbl.t;
       (** the structural skeleton per template-relation signature *)
-  c_gens : (string, gen_entry) Hashtbl.t;
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_learned : int;
@@ -351,7 +336,6 @@ let create_cache () =
   {
     c_atg = None;
     c_skeletons = Hashtbl.create 8;
-    c_gens = Hashtbl.create 8;
     c_hits = 0;
     c_misses = 0;
     c_learned = 0;
@@ -359,8 +343,7 @@ let create_cache () =
 
 let clear_cache c =
   c.c_atg <- None;
-  Hashtbl.reset c.c_skeletons;
-  Hashtbl.reset c.c_gens
+  Hashtbl.reset c.c_skeletons
 
 let counters c =
   {
@@ -489,41 +472,24 @@ let build_skeleton (atg : Atg.t) (schema : Schema.db)
   in
   List.filter_map plan_rule (Atg.star_rules atg)
 
-(* gen_A rows as a symbolic source, reusing (and extending) the cached
-   indexed row set when the registry stamps allow *)
-let gen_source cache store a_type nparams =
+(* gen_A as a symbolic source, read from the store's own Skolem table: a
+   probe on the whole $A is one {!Store.find_id}; only a choice that
+   leaves part of $A unconstrained lists the rows (ascending node id) *)
+let gen_source store a_type nparams =
   if nparams = 0 then
     (* all zero-arity parents coincide; one dummy row suffices *)
     (if Store.gen_cardinal store a_type = 0 then Symbolic.Rows []
      else Symbolic.Rows [ [| Symbolic.Known (Value.Int 0) |] ])
-  else begin
-    let gv = Store.gen_view store a_type in
-    let ge =
-      match Hashtbl.find_opt cache.c_gens a_type with
-      | Some ge -> ge
-      | None ->
-          let ge =
-            { ge_version = 0; ge_reset = gv.Store.gv_reset; ge_count = 0;
-              ge_ix = Symbolic.indexed_create () }
-          in
-          Hashtbl.replace cache.c_gens a_type ge;
-          ge
-    in
-    if ge.ge_version <> gv.Store.gv_version then begin
-      if ge.ge_reset <> gv.Store.gv_reset then begin
-        Symbolic.indexed_clear ge.ge_ix;
-        ge.ge_count <- 0;
-        ge.ge_reset <- gv.Store.gv_reset
-      end;
-      for i = ge.ge_count to gv.Store.gv_len - 1 do
-        Symbolic.indexed_append ge.ge_ix
-          (Symbolic.of_tuple (Store.node store gv.Store.gv_ids.(i)).Store.attr)
-      done;
-      ge.ge_count <- gv.Store.gv_len;
-      ge.ge_version <- gv.Store.gv_version
-    end;
-    Symbolic.Indexed ge.ge_ix
-  end
+  else
+    Symbolic.Member
+      {
+        mem = (fun attr -> Store.find_id store a_type attr <> None);
+        rows =
+          lazy
+            (List.map
+               (fun id -> Symbolic.of_tuple (Store.node store id).Store.attr)
+               (List.sort Int.compare (Store.gen_ids store a_type)));
+      }
 
 (* ---------- canonical models ---------- *)
 
@@ -686,7 +652,7 @@ let translate (atg : Atg.t) (db : Database.t) (store : Store.t)
       let scan_rule (rp : rule_plan) =
         let a_type = rp.rp_a and b_type = rp.rp_b and sr = rp.rp_sr in
         let nparams = rp.rp_nparams in
-        let gen_src = gen_source cache store a_type nparams in
+        let gen_src = gen_source store a_type nparams in
         List.iter
           (fun cp ->
             let source_of (alias, rname) =

@@ -39,13 +39,12 @@ type outcome =
   | Rejected of string
 
 type cache
-(** Per-engine incremental-translation state: structural skeletons
-    (augmented "+gen" queries per U/A choice) keyed on the sorted
-    template-relation signature, and incrementally maintained gen_A row
-    sets with their join indexes (revalidated by {!Store.gen_view}
-    stamps). Supplying a different ATG value drops everything. Purely an
-    accelerator: translations with a warm, a cleared or a stale cache
-    produce identical outcomes. *)
+(** Per-engine translation state: structural skeletons (augmented "+gen"
+    queries per U/A choice) keyed on the sorted template-relation
+    signature. gen_A is not kept here: every translation reads it from
+    the store's Skolem table. Supplying a different ATG value drops
+    everything. Purely an accelerator: translations with a warm, a
+    cleared or a stale cache produce identical outcomes. *)
 
 type counters = {
   skeleton_hits : int;  (** translations that reused a cached skeleton *)
@@ -56,7 +55,7 @@ type counters = {
 val create_cache : unit -> cache
 
 val clear_cache : cache -> unit
-(** drop skeletons and gen_A row sets (counters survive) *)
+(** drop the skeletons (counters survive) *)
 
 val counters : cache -> counters
 (** cumulative since [create_cache] (not reset by {!clear_cache}) *)

@@ -166,19 +166,16 @@ let is_ancestor m a d =
 
 let is_ancestor_or_self m a d = a = d || is_ancestor m a d
 
-let iter_ancestors f m d =
-  if Store.mem_node m.store d then
-    let sd = slot_of m d in
-    if sd < Array.length m.anc then
-      Sparse.iter_bits m.anc.(sd) (fun s ->
-          match Store.id_of_slot m.store s with
-          | Some a -> f a
-          | None -> ())
-
 (** Ancestors of [d], as node ids. *)
 let ancestors m d =
   let acc = ref [] in
-  iter_ancestors (fun a -> acc := a :: !acc) m d;
+  (if Store.mem_node m.store d then
+     let sd = slot_of m d in
+     if sd < Array.length m.anc then
+       Sparse.iter_bits m.anc.(sd) (fun s ->
+           match Store.id_of_slot m.store s with
+           | Some a -> acc := a :: !acc
+           | None -> ()));
   !acc
 
 (** Total number of (anc, desc) pairs — the |M| of Fig. 10(b). *)

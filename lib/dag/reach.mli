@@ -38,7 +38,6 @@ val is_ancestor : t -> int -> int -> bool
 val is_ancestor_or_self : t -> int -> int -> bool
 
 val ancestors : t -> int -> int list
-val iter_ancestors : (int -> unit) -> t -> int -> unit
 
 val size : t -> int
 (** |M|: total (anc, desc) pairs, by popcount *)

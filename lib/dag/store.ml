@@ -5,7 +5,10 @@
     value, so a subtree shared by many occurrences is stored once. The
     store keeps
 
-    - [gen_A]: per element type, the registry of node identities;
+    - [gen_A]: per element type, the registry of node identities; the
+      gen_id memo table, keyed on (type, $A), is its index on $A, which
+      the insertion translator probes through {!find_id} instead of
+      copying the registry;
     - the edge relations [edge_A_B], here as ordered adjacency lists plus
       parent lists and an edge table carrying, for star edges, the
       key-preserved SPJ output row that produced the edge (its provenance —
@@ -53,21 +56,6 @@ module Kmap = Map.Make (struct
     match String.compare a b with 0 -> Tuple.compare x y | c -> c
 end)
 
-(** Cached ascending-sorted image of one gen_A registry, with change
-    stamps so callers (the insertion translator's skeleton cache) can
-    reuse derived structures across updates: [gs_version] bumps on every
-    registry change; [gs_reset] bumps only when the sorted prefix is no
-    longer stable (a removal, or an out-of-order re-insertion during
-    journal undo) — between two equal [gs_reset] stamps the previous
-    array contents are a prefix of the current ones. *)
-type genseq = {
-  mutable gs_ids : int array;  (** ascending ids, live prefix [0, gs_len) *)
-  mutable gs_len : int;
-  mutable gs_dirty : bool;  (** array no longer mirrors the registry *)
-  mutable gs_version : int;
-  mutable gs_reset : int;
-}
-
 type t = {
   mutable next_id : int;
   mutable next_slot : int;
@@ -76,9 +64,6 @@ type t = {
   nodes : node Itbl.t;
   slot_ids : int Itbl.t;  (** slot -> node id *)
   gen : (string, (int, unit) Hashtbl.t) Hashtbl.t;  (** gen_A registries *)
-  genseq : (string, genseq) Hashtbl.t;
-      (** lazily materialized sorted registries; only etypes someone has
-          asked a {!gen_view} for are tracked *)
   children : int list ref Itbl.t;  (** ordered adjacency *)
   parents : unit Itbl.t Itbl.t;
   edges : (int * int, edge_info) Hashtbl.t;
@@ -111,7 +96,6 @@ let create () =
     nodes = Itbl.create 1024;
     slot_ids = Itbl.create 1024;
     gen = Hashtbl.create 16;
-    genseq = Hashtbl.create 8;
     children = Itbl.create 1024;
     parents = Itbl.create 1024;
     edges = Hashtbl.create 4096;
@@ -125,41 +109,6 @@ let create () =
   }
 
 let mark_dirty t id = Itbl.replace t.dirty id ()
-
-(* genseq maintenance: called from every code path that changes a gen_A
-   registry, including journal-undo closures (an undo of gen_id is a
-   removal; an undo of remove_node is an out-of-order re-insertion) *)
-let gen_note_add t etype id =
-  match Hashtbl.find_opt t.genseq etype with
-  | None -> ()
-  | Some gs ->
-      gs.gs_version <- gs.gs_version + 1;
-      if not gs.gs_dirty then
-        if gs.gs_len = 0 || id > gs.gs_ids.(gs.gs_len - 1) then begin
-          if gs.gs_len = Array.length gs.gs_ids then begin
-            let a = Array.make (max 8 (2 * gs.gs_len)) 0 in
-            Array.blit gs.gs_ids 0 a 0 gs.gs_len;
-            gs.gs_ids <- a
-          end;
-          gs.gs_ids.(gs.gs_len) <- id;
-          gs.gs_len <- gs.gs_len + 1
-        end
-        else begin
-          (* re-insertion below the current maximum: the sorted prefix
-             is no longer stable, rebuild lazily *)
-          gs.gs_dirty <- true;
-          gs.gs_reset <- gs.gs_reset + 1
-        end
-
-let gen_note_remove t etype _id =
-  match Hashtbl.find_opt t.genseq etype with
-  | None -> ()
-  | Some gs ->
-      gs.gs_version <- gs.gs_version + 1;
-      if not gs.gs_dirty then begin
-        gs.gs_dirty <- true;
-        gs.gs_reset <- gs.gs_reset + 1
-      end
 
 let journal t = t.journal
 let begin_ t = Journal.begin_ t.journal
@@ -215,7 +164,6 @@ let gen_id t etype (attr : Tuple.t) ?text () =
             r
       in
       Hashtbl.replace reg id ();
-      gen_note_add t etype id;
       (* inverse: unregister the node and hand back its id and slot. Ids
          are monotonic and undos replay newest-first, so [next_id <- id]
          restores the pre-transaction counter exactly; likewise the slot
@@ -226,7 +174,6 @@ let gen_id t etype (attr : Tuple.t) ?text () =
             Hashtbl.remove t.ids key;
             Itbl.remove t.slot_ids slot;
             Hashtbl.remove reg id;
-            gen_note_remove t etype id;
             Itbl.remove t.children id;
             Itbl.remove t.parents id;
             t.next_id <- id;
@@ -367,7 +314,6 @@ let remove_node t id =
   (match Hashtbl.find_opt t.gen n.etype with
   | Some reg -> Hashtbl.remove reg id
   | None -> ());
-  gen_note_remove t n.etype id;
   Itbl.remove t.slot_ids n.slot;
   t.free_slots <- n.slot :: t.free_slots;
   (* inverse: re-register the node record and reclaim its slot from the
@@ -386,7 +332,6 @@ let remove_node t id =
               r
         in
         Hashtbl.replace reg id ();
-        gen_note_add t n.etype id;
         match t.free_slots with
         | s :: rest when s = n.slot -> t.free_slots <- rest
         | _ -> t.free_slots <- List.filter (fun s -> s <> n.slot) t.free_slots)
@@ -429,43 +374,6 @@ let gen_cardinal t etype =
   match Hashtbl.find_opt t.gen etype with
   | Some reg -> Hashtbl.length reg
   | None -> 0
-
-type gen_view = {
-  gv_ids : int array;
-  gv_len : int;
-  gv_version : int;
-  gv_reset : int;
-}
-
-(** Ascending-sorted view of gen_A with change stamps. The returned
-    array is the store's internal buffer: read slots [0, gv_len) only,
-    never mutate, and re-fetch after any store mutation. Stamps contract:
-    equal [gv_version] ⇒ identical contents; equal [gv_reset] ⇒ the
-    earlier view's [gv_len]-prefix is a prefix of the current view. *)
-let gen_view t etype =
-  let gs =
-    match Hashtbl.find_opt t.genseq etype with
-    | Some gs -> gs
-    | None ->
-        let gs =
-          { gs_ids = [||]; gs_len = 0; gs_dirty = true; gs_version = 1; gs_reset = 1 }
-        in
-        Hashtbl.replace t.genseq etype gs;
-        gs
-  in
-  if gs.gs_dirty then begin
-    let a = Array.of_list (gen_ids t etype) in
-    Array.sort (fun (a : int) b -> compare a b) a;
-    gs.gs_ids <- a;
-    gs.gs_len <- Array.length a;
-    gs.gs_dirty <- false
-  end;
-  {
-    gv_ids = gs.gs_ids;
-    gv_len = gs.gs_len;
-    gv_version = gs.gs_version;
-    gv_reset = gs.gs_reset;
-  }
 
 (** {2 Tree materialization}
 
@@ -703,7 +611,6 @@ let of_persisted (p : persisted) =
       nodes = Itbl.create n_nodes;
       slot_ids = Itbl.create n_nodes;
       gen = Hashtbl.create 16;
-      genseq = Hashtbl.create 8;
       children = Itbl.create n_nodes;
       parents = Itbl.create n_nodes;
       edges = Hashtbl.create n_edges;
@@ -814,7 +721,6 @@ let copy t =
       (let g = Hashtbl.create (Hashtbl.length t.gen) in
        Hashtbl.iter (fun k v -> Hashtbl.replace g k (Hashtbl.copy v)) t.gen;
        g);
-    genseq = Hashtbl.create 8;
     children =
       (let c = Itbl.create (Itbl.length t.children) in
        Itbl.iter (fun k v -> Itbl.replace c k (ref !v)) t.children;

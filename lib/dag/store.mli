@@ -102,26 +102,10 @@ val fold_nodes : (node -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_edges : (int -> int -> edge_info -> unit) -> t -> unit
 
 val gen_ids : t -> string -> int list
-(** the gen_A registry for an element type *)
+(** the gen_A registry for an element type, in no particular order;
+    {!find_id} is its index on $A *)
 
 val gen_cardinal : t -> string -> int
-
-type gen_view = {
-  gv_ids : int array;  (** ascending node ids; read slots [0, gv_len) only *)
-  gv_len : int;
-  gv_version : int;
-  gv_reset : int;
-}
-
-val gen_view : t -> string -> gen_view
-(** Sorted image of gen_A with change stamps, maintained incrementally
-    across store mutations (including journal undo). The array is the
-    store's internal buffer — treat it as read-only and re-fetch after
-    any mutation. Contract: two views with equal [gv_version] have
-    identical contents; with equal [gv_reset], the earlier view's
-    [gv_len]-prefix is still a prefix of the later one (only appends
-    happened in between) — the insertion translator uses this to extend
-    cached per-registry structures in O(new ids) per update. *)
 
 val tree_of : ?max_nodes:int -> t -> int -> Rxv_xml.Tree.t
 (** materialize the (uncompressed) tree below a node; sizes can be

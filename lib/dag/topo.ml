@@ -281,8 +281,6 @@ let is_valid l store =
     store;
   !ok && live_count l = Store.n_nodes store
 
-let pp ppf l = Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") Fmt.int) (to_list l)
-
 (** Deep copy — used by test oracles; the copy gets a fresh journal with
     no open frames. *)
 let copy l =

@@ -64,7 +64,5 @@ val insert_before : t -> anchor:int -> int list -> unit
 val is_valid : t -> Store.t -> bool
 (** test oracle: every edge's child precedes its parent and |L| = n *)
 
-val pp : Format.formatter -> t -> unit
-
 val copy : t -> t
 (** deep copy — used by test oracles; the copy gets a fresh journal *)

@@ -42,6 +42,23 @@ let find_by_key db name key = Relation.find_by_key (relation db name) key
 
 let cardinal db = Hashtbl.fold (fun _ r n -> n + Relation.cardinal r) db.instances 0
 
+(** [int_ceiling db] is the largest {!Relation.int_ceiling} of any
+    relation. The exact watermarks are taken first; a stale one is
+    rescanned only when its bound exceeds the best found so far. *)
+let int_ceiling db =
+  let exact, stale =
+    Hashtbl.fold
+      (fun _ r (best, stale) ->
+        match Relation.int_watermark r with
+        | `Exact m -> (max best m, stale)
+        | `At_most m -> (best, (m, r) :: stale))
+      db.instances (0, [])
+  in
+  List.fold_left
+    (fun best (bound, r) ->
+      if bound > best then max best (Relation.int_ceiling r) else best)
+    exact stale
+
 (** Deep copy, used by test oracles (e.g. comparing journal-based abort
     against an independently captured state). The copy gets its own fresh
     journal with no open frames. *)

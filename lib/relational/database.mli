@@ -36,6 +36,11 @@ val find_by_key : t -> string -> Value.t list -> Tuple.t option
 val cardinal : t -> int
 (** total tuples across all relations *)
 
+val int_ceiling : t -> int
+(** the largest [Value.Int] in any relation, 0 when none: the maximum of
+    every {!Relation.int_ceiling}, rescanning a relation whose watermark
+    is stale only when its bound exceeds the exact ceilings found *)
+
 val copy : t -> t
 (** deep copy (used by republish-and-compare test oracles) *)
 

@@ -25,9 +25,10 @@ type t = {
           database's relations ({!Database.attach}); [None] for
           standalone relations *)
   mutable int_max : int;
-      (** watermark over every [Value.Int] field of every row (0 when
-          none), kept current by insert and invalidated by a delete that
-          removes the maximum — {!int_ceiling} rescans lazily *)
+      (** upper bound on every [Value.Int] field of every row (0 when
+          none), raised by every insert; exact unless a delete removed a
+          row holding it since the last rescan ([int_max_valid] false),
+          after which {!int_ceiling} rescans lazily *)
   mutable int_max_valid : bool;
 }
 
@@ -81,6 +82,11 @@ let int_ceiling r =
   end;
   r.int_max
 
+(** [int_watermark r] is {!int_ceiling} without the rescan: [`Exact] when
+    the watermark is current, otherwise [`At_most] an upper bound. *)
+let int_watermark r =
+  if r.int_max_valid then `Exact r.int_max else `At_most r.int_max
+
 let index_add idx cols t =
   let k = project cols t in
   let bucket = Option.value ~default:[] (Hashtbl.find_opt idx k) in
@@ -130,9 +136,8 @@ let rec insert r t =
   | None ->
       Hashtbl.replace r.rows key t;
       Hashtbl.iter (fun cols idx -> index_add idx cols t) r.indexes;
-      (if r.int_max_valid then
-         let m = tuple_int_max t in
-         if m > r.int_max then r.int_max <- m);
+      (let m = tuple_int_max t in
+       if m > r.int_max then r.int_max <- m);
       record r (fun () -> ignore (delete_key r key))
   | Some t' when Tuple.equal t t' -> ()
   | Some _ ->
@@ -172,8 +177,8 @@ let copy r =
     rows = Hashtbl.copy r.rows;
     indexes = Hashtbl.create 4;
     journal = None;
-    int_max = 0;
-    int_max_valid = false;
+    int_max = r.int_max;
+    int_max_valid = r.int_max_valid;
   }
 
 (** [drop_indexes r] discards every secondary index (they rebuild on

@@ -67,6 +67,11 @@ val int_ceiling : t -> int
     triggers one lazy rescan) — serves fresh-value allocation without a
     per-call full scan. *)
 
+val int_watermark : t -> [ `Exact of int | `At_most of int ]
+(** {!int_ceiling} in O(1), without its rescan: [`Exact] while no delete
+    has removed the maximum since the last rescan, otherwise [`At_most]
+    an upper bound (every insert raises it, {!copy} carries it) *)
+
 val select_eq : t -> int -> Value.t -> Tuple.t list
 (** linear scan on one column; repeated lookups should use
     {!index_on} *)

@@ -24,76 +24,18 @@ exception Symbolic_error of string
 
 let symbolic_error fmt = Fmt.kstr (fun s -> raise (Symbolic_error s)) fmt
 
-(** A persistent, append-only collection of ground symbolic rows carrying
-    its own per-column-set hash indexes, so a caller that evaluates many
-    queries against a slowly growing row set (the insertion translator's
-    gen_A pseudo-relations) amortizes index construction across calls
-    instead of rebuilding per {!run}. *)
-type indexed = {
-  mutable ix_rows : srow array;  (** live prefix [0, ix_len) *)
-  mutable ix_len : int;
-  ix_indexes : (int list, (Value.t list, srow list) Hashtbl.t) Hashtbl.t;
-}
-
 (** A symbolic source for one FROM position: a concrete relation with a
     row filter (so [I_i \ X_i] needs no copying), an explicit list of
     symbolic rows (the tuple-template sets [U_i], or [X_i ∩ I_i]), or a
-    reusable pre-indexed ground row set. *)
+    ground row set kept by its owner (the store's gen_A registry): a probe
+    binding every column asks [mem], and any other access scans [rows],
+    which lists the same set in scan order. *)
 type source =
   | Concrete of Relation.t * (Tuple.t -> bool)
   | Rows of srow list
-  | Indexed of indexed
+  | Member of { mem : Tuple.t -> bool; rows : srow list Lazy.t }
 
 let of_tuple (t : Tuple.t) : srow = Array.map (fun v -> Known v) t
-
-let indexed_create () =
-  { ix_rows = [||]; ix_len = 0; ix_indexes = Hashtbl.create 4 }
-
-let indexed_length ix = ix.ix_len
-
-let indexed_clear ix =
-  ix.ix_rows <- [||];
-  ix.ix_len <- 0;
-  Hashtbl.reset ix.ix_indexes
-
-let ix_key cols (row : srow) =
-  List.map
-    (fun c ->
-      match row.(c) with
-      | Known v -> v
-      | Var x -> symbolic_error "Indexed source: variable ?%d in row" x)
-    cols
-
-let indexed_append ix (row : srow) =
-  if ix.ix_len = Array.length ix.ix_rows then begin
-    let a = Array.make (max 16 (2 * ix.ix_len)) [||] in
-    Array.blit ix.ix_rows 0 a 0 ix.ix_len;
-    ix.ix_rows <- a
-  end;
-  ix.ix_rows.(ix.ix_len) <- row;
-  ix.ix_len <- ix.ix_len + 1;
-  (* keep every materialized index current; buckets hold newest first,
-     matching a fresh build (which scans in order and prepends) *)
-  Hashtbl.iter
-    (fun cols idx ->
-      let k = ix_key cols row in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt idx k) in
-      Hashtbl.replace idx k (row :: prev))
-    ix.ix_indexes
-
-let indexed_index ix cols =
-  match Hashtbl.find_opt ix.ix_indexes cols with
-  | Some idx -> idx
-  | None ->
-      let idx = Hashtbl.create (max 16 ix.ix_len) in
-      for i = 0 to ix.ix_len - 1 do
-        let row = ix.ix_rows.(i) in
-        let k = ix_key cols row in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt idx k) in
-        Hashtbl.replace idx k (row :: prev)
-      done;
-      Hashtbl.replace ix.ix_indexes cols idx;
-      idx
 
 let sval_equal a b =
   match (a, b) with
@@ -117,11 +59,7 @@ let add_constr c cs = if List.exists (constr_equal c) cs then cs else c :: cs
 
 let iter_source f = function
   | Concrete (r, keep) -> Relation.iter (fun t -> if keep t then f (of_tuple t)) r
-  | Rows rows -> List.iter f rows
-  | Indexed ix ->
-      for i = 0 to ix.ix_len - 1 do
-        f ix.ix_rows.(i)
-      done
+  | Rows rows | Member { rows = (lazy rows); _ } -> List.iter f rows
 
 (** [run db q ~params sources] evaluates [q] with FROM position [i] ranging
     over [sources.(i)]. [params] are ground. Returns every produced view row
@@ -188,10 +126,35 @@ let run (db : Schema.db) (q : Spj.t) ?(params = [||]) (sources : source array)
   (* Per-position join access paths, as (lookup, residual): symbolic rows
      with a variable in an indexed column are kept aside for residual
      scanning. Concrete relations probe their own persistent
-     {!Relation.index_on} (built once, maintained across updates) and
-     [Indexed] sources their own carried indexes, so repeated runs pay no
-     per-call index construction; only [Rows] sources — small template
-     sets — build a throwaway table here. *)
+     {!Relation.index_on} (built once, maintained across updates), and a
+     [Member] source answers a probe binding all of its columns with one
+     [mem] call, so repeated runs pay no per-call index construction;
+     only row lists — template sets, or a [Member] source probed on some
+     of its columns — build a throwaway table here. *)
+  let rows_index cols rows =
+    let idx = Hashtbl.create (max 16 (List.length rows)) in
+    let residual = ref [] in
+    List.iter
+      (fun row ->
+        let ground = ref true in
+        let key =
+          List.map
+            (fun c ->
+              match row.(c) with
+              | Known v -> v
+              | Var _ ->
+                  ground := false;
+                  Value.Null)
+            cols
+        in
+        if !ground then
+          let prev = Option.value ~default:[] (Hashtbl.find_opt idx key) in
+          Hashtbl.replace idx key (row :: prev)
+        else residual := row :: !residual)
+      rows;
+    let lookup key = Option.value ~default:[] (Hashtbl.find_opt idx key) in
+    (lookup, !residual)
+  in
   let index_cache = Hashtbl.create 4 in
   let build_index i cols =
     match Hashtbl.find_opt index_cache (i, cols) with
@@ -210,39 +173,26 @@ let run (db : Schema.db) (q : Spj.t) ?(params = [||]) (sources : source array)
                       ts
               in
               (lookup, [])
-          | Indexed ix ->
-              let idx = indexed_index ix cols in
-              let lookup key =
-                Option.value ~default:[] (Hashtbl.find_opt idx key)
+          | Rows rows -> rows_index cols rows
+          | Member { mem; rows } ->
+              let arity =
+                Schema.arity
+                  (Schema.find_relation db (snd (List.nth q.Spj.from i)))
               in
-              (lookup, [])
-          | Rows rows ->
-              let idx = Hashtbl.create (max 16 (List.length rows)) in
-              let residual = ref [] in
-              List.iter
-                (fun row ->
-                  let ground = ref true in
-                  let key =
-                    List.map
-                      (fun c ->
-                        match row.(c) with
-                        | Known v -> v
-                        | Var _ ->
-                            ground := false;
-                            Value.Null)
-                      cols
-                  in
-                  if !ground then
-                    let prev =
-                      Option.value ~default:[] (Hashtbl.find_opt idx key)
-                    in
-                    Hashtbl.replace idx key (row :: prev)
-                  else residual := row :: !residual)
-                rows;
-              let lookup key =
-                Option.value ~default:[] (Hashtbl.find_opt idx key)
-              in
-              (lookup, !residual)
+              if List.for_all (fun c -> List.mem c cols) (List.init arity Fun.id)
+              then
+                (* the probe names the whole row: it is a member or absent
+                   (a column probed twice must get one value) *)
+                let lookup key =
+                  let t = Array.make arity Value.Null in
+                  List.iter2 (fun c v -> t.(c) <- v) cols key;
+                  if List.for_all2 (fun c v -> Value.equal t.(c) v) cols key
+                     && mem t
+                  then [ of_tuple t ]
+                  else []
+                in
+                (lookup, [])
+              else rows_index cols (Lazy.force rows)
         in
         Hashtbl.replace index_cache (i, cols) x;
         x

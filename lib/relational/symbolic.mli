@@ -18,35 +18,22 @@ type constr = Ceq of sval * sval
 
 type result_row = { row : srow; constraints : constr list }
 
-type indexed
-(** a persistent, append-only set of ground symbolic rows carrying its
-    own per-column-set hash indexes — lets a caller that evaluates many
-    queries against a slowly growing row set (the insertion translator's
-    gen_A pseudo-relations) amortize index construction across {!run}
-    calls *)
-
 (** One FROM position's source: a concrete relation with a row filter
     (so [I_i \ X_i] needs no copying), explicit symbolic rows (the
-    tuple-template sets U_i), or a reusable pre-indexed ground row set. *)
+    tuple-template sets U_i), or a ground row set its owner keeps (the
+    store's gen_A registry, which the insertion translator does not
+    copy): a probe that binds every column is answered by [mem], any
+    other access scans [rows] — the same set, in scan order — which is
+    forced only then. *)
 type source =
   | Concrete of Relation.t * (Tuple.t -> bool)
   | Rows of srow list
-  | Indexed of indexed
+  | Member of { mem : Tuple.t -> bool; rows : srow list Lazy.t }
 
 exception Symbolic_error of string
 
 val of_tuple : Tuple.t -> srow
 val sval_equal : sval -> sval -> bool
-
-val indexed_create : unit -> indexed
-
-val indexed_append : indexed -> srow -> unit
-(** rows join in iteration order (append at the end); every already
-    materialized index is maintained incrementally.
-    @raise Symbolic_error if the row contains a variable *)
-
-val indexed_clear : indexed -> unit
-val indexed_length : indexed -> int
 
 val run :
   Schema.db -> Spj.t -> ?params:Tuple.t -> source array -> result_row list

@@ -232,14 +232,14 @@ let test_synth_roundtrip () =
 (* --- skeleton-cached translation ≡ cold translation --- *)
 
 (* Apply [u] to both engines; the outcomes must agree exactly (same ΔR
-   or both rejected). The engines then stay in lock-step, so one
+   or the same rejection). The engines then stay in lock-step, so one
    workload stream generated from [ea]'s store drives both. *)
 let apply_both ea eb u =
   match
     (Engine.apply ~policy:`Proceed ea u, Engine.apply ~policy:`Proceed eb u)
   with
   | Ok a, Ok b -> check "same ΔR" true (a.Engine.delta_r = b.Engine.delta_r)
-  | Error _, Error _ -> ()
+  | Error ra, Error rb -> check "same rejection" true (ra = rb)
   | Ok _, Error r -> Alcotest.failf "cold rejected, cached ok: %a" Engine.pp_rejection r
   | Error r, Ok _ -> Alcotest.failf "cached rejected, cold ok: %a" Engine.pp_rejection r
 
@@ -250,35 +250,102 @@ let all_provenances store =
     store;
   List.sort compare !acc
 
+(* the delete of the c element a fresh-key insertion [u] adds: it removes
+   the element's c, cid and sub nodes *)
+let delete_inserted u =
+  match u with
+  | Xupdate.Insert { path; attr; _ } ->
+      let module Ast = Rxv_xpath.Ast in
+      Xupdate.Delete
+        (Ast.Seq
+           ( path,
+             Ast.Where
+               (Ast.Label "c", Ast.Eq (Ast.Label "cid", Value.to_string attr.(0)))
+           ))
+  | Xupdate.Delete _ -> Alcotest.fail "expected an insertion"
+
 let test_cached_eq_cold () =
   let params = Synth.default_params ~seed:21 50 in
   let da = Synth.generate params and db_ = Synth.generate params in
   let ea = Engine.create (Synth.atg ()) da.Synth.db in
   let eb = Engine.create (Synth.atg ()) db_.Synth.db in
-  (* 60 random insert workloads: ea keeps its cache warm across all of
-     them, eb is forced cold before every single translation *)
+  (* ea keeps its cache warm across every update, eb is forced cold
+     before every single one. Each round inserts 3 W2 elements, then
+     inserts and deletes a fresh element and deletes and re-links an
+     edge, so the next round's translations follow node removals. *)
+  let removals = ref 0 in
+  let both u =
+    let before = Store.n_nodes ea.Engine.store in
+    Rxv_core.Vinsert.clear_cache eb.Engine.sat;
+    apply_both ea eb u;
+    if Store.n_nodes ea.Engine.store < before then incr removals
+  in
   for round = 1 to 20 do
-    let ins =
-      Updates.insertions da ea.Engine.store Updates.W2 ~count:3
-        ~seed:(100 + round) ()
-    in
+    let cls = List.nth [ Updates.W1; Updates.W2; Updates.W3 ] (round mod 3) in
+    List.iter both
+      (Updates.insertions da ea.Engine.store Updates.W2 ~count:3
+         ~seed:(100 + round) ());
     List.iter
       (fun u ->
-        Rxv_core.Vinsert.clear_cache eb.Engine.sat;
-        apply_both ea eb u)
-      ins
+        both u;
+        both (delete_inserted u))
+      (Updates.insertions da ea.Engine.store cls ~count:1 ~seed:(300 + round)
+         ());
+    List.iter
+      (fun (del, ins) ->
+        both del;
+        both ins)
+      (Updates.relinks da ea.Engine.store cls ~count:1 ~seed:(500 + round));
+    check "views equal" true
+      (Tree.equal_canonical (Engine.to_tree ea) (Engine.to_tree eb));
+    check "edge provenances equal" true
+      (all_provenances ea.Engine.store = all_provenances eb.Engine.store)
   done;
+  (* every fresh element's delete removed nodes (37 deletes do) *)
+  check "deletes removed nodes" true (!removals >= 20);
   (* the cached engine really did reuse skeletons *)
   let st = Engine.stats ea in
   check "skeletons reused" true (st.Engine.sat_skeleton_hits > 0);
   check "cold engine never hit" true
     ((Engine.stats eb).Engine.sat_skeleton_hits = 0);
   assert_consistent ea;
-  assert_consistent eb;
-  check "final views equal" true
-    (Tree.equal_canonical (Engine.to_tree ea) (Engine.to_tree eb));
-  check "edge provenances equal" true
-    (all_provenances ea.Engine.store = all_provenances eb.Engine.store)
+  assert_consistent eb
+
+(* --- an insertion after a delete does work independent of |C| --- *)
+
+(* Minor words allocated by fresh W2 insertions, each following the
+   delete of the previous insertion's element (which removes its c, cid
+   and sub nodes). The first insertion builds the skeleton and relation
+   indexes and is not counted. Allocation counts need no quiet host, so
+   unlike a timing this holds on a loaded machine. *)
+let words_per_insert_after_delete n =
+  let d = Synth.generate (Synth.default_params n) in
+  let e = Engine.create (Synth.atg ()) d.Synth.db in
+  let ins =
+    Updates.insertions d e.Engine.store Updates.W2 ~count:8 ~seed:1 ()
+  in
+  let words = ref 0. in
+  List.iteri
+    (fun i u ->
+      let w0 = Gc.minor_words () in
+      let r = ok_or_fail (Engine.apply e u) in
+      if i > 0 then words := !words +. (Gc.minor_words () -. w0);
+      check "insertion changes R" true (r.Engine.delta_r <> []);
+      let before = Store.n_nodes e.Engine.store in
+      ignore (ok_or_fail (Engine.apply e (delete_inserted u)));
+      check "delete removes the inserted nodes" true
+        (Store.n_nodes e.Engine.store < before))
+    ins;
+  assert_consistent e;
+  !words /. 7.
+
+let test_insert_after_delete_words () =
+  let w1k = words_per_insert_after_delete 1_000 in
+  let w3k = words_per_insert_after_delete 3_000 in
+  if w3k > 1.5 *. w1k then
+    Alcotest.failf
+      "minor words per insertion grow with |C|: %.0f at 1K, %.0f at 3K" w1k
+      w3k
 
 (* --- translation through a warm cache is deterministic under fixed
    seeds --- *)
@@ -323,4 +390,6 @@ let tests =
     Alcotest.test_case "skeleton-cached ≡ cold translation" `Quick
       test_cached_eq_cold;
     Alcotest.test_case "warm-start determinism" `Quick test_warm_determinism;
+    Alcotest.test_case "insertion after a delete: words independent of |C|"
+      `Quick test_insert_after_delete_words;
   ]

@@ -284,6 +284,106 @@ let test_symbolic_variables_defer () =
   check "all conditioned" true
     (List.for_all (fun r -> List.length r.Symbolic.constraints = 1) rows)
 
+(* --- Int watermarks: the database ceiling equals a full rescan --- *)
+
+type wm_op =
+  | W_insert of string * int * int  (** relation, key, Int field *)
+  | W_delete of string * int
+  | W_copy  (** continue on a copy (outside any frame) *)
+  | W_begin
+  | W_abort
+  | W_commit
+  | W_ceiling  (** compare {!Database.int_ceiling} with a rescan *)
+
+let wm_schema =
+  Schema.db
+    [
+      Schema.relation "A"
+        [ Schema.attr "k" Value.TInt; Schema.attr "v" Value.TInt ]
+        ~key:[ "k" ];
+      Schema.relation "B"
+        [
+          Schema.attr "k" Value.TInt;
+          Schema.attr "s" Value.TStr;
+          Schema.attr "w" Value.TInt;
+        ]
+        ~key:[ "k" ];
+    ]
+
+let wm_ops_gen =
+  QCheck2.Gen.(
+    let rel = oneofl [ "A"; "B" ] and key = int_range 0 7 in
+    list_size (int_range 1 60)
+      (frequency
+         [
+           (6, map3 (fun r k v -> W_insert (r, k, v)) rel key (int_range (-3) 40));
+           (4, map2 (fun r k -> W_delete (r, k)) rel key);
+           (1, return W_copy);
+           (2, return W_begin);
+           (1, return W_abort);
+           (1, return W_commit);
+           (2, return W_ceiling);
+         ]))
+
+let wm_op_print = function
+  | W_insert (r, k, v) -> Printf.sprintf "insert %s(%d, %d)" r k v
+  | W_delete (r, k) -> Printf.sprintf "delete %s(%d)" r k
+  | W_copy -> "copy"
+  | W_begin -> "begin"
+  | W_abort -> "abort"
+  | W_commit -> "commit"
+  | W_ceiling -> "ceiling"
+
+(* the largest Int of a relation by a full scan, 0 when none *)
+let rescan_ceiling r =
+  Relation.fold
+    (fun t m ->
+      Array.fold_left
+        (fun m v -> match v with Value.Int x -> max m x | _ -> m)
+        m t)
+    r 0
+
+let prop_int_ceiling ops =
+  let db = ref (Database.create wm_schema) and depth = ref 0 in
+  let rels () = List.map (Database.relation !db) [ "A"; "B" ] in
+  let ceiling_ok () =
+    Database.int_ceiling !db
+    = List.fold_left (fun m r -> max m (rescan_ceiling r)) 0 (rels ())
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | W_insert (r, k, v) ->
+          if not (Database.mem_key !db r [ i k ]) then
+            Database.insert !db r
+              (if r = "A" then [| i k; i v |] else [| i k; s "x"; i v |])
+      | W_delete (r, k) -> ignore (Database.delete_key !db r [ i k ])
+      | W_copy -> if !depth = 0 then db := Database.copy !db
+      | W_begin ->
+          Database.begin_ !db;
+          incr depth
+      | W_abort ->
+          if !depth > 0 then begin
+            Database.abort !db;
+            decr depth
+          end
+      | W_commit ->
+          if !depth > 0 then begin
+            Database.commit !db;
+            decr depth
+          end
+      | W_ceiling -> ());
+      (* every watermark is exact or an upper bound, without a rescan *)
+      List.for_all
+        (fun r ->
+          match Relation.int_watermark r with
+          | `Exact m -> m = rescan_ceiling r
+          | `At_most m -> m >= rescan_ceiling r)
+        (rels ())
+      && (op <> W_ceiling || ceiling_ok ()))
+    ops
+  && ceiling_ok ()
+
 let tests =
   [
     Alcotest.test_case "value basics" `Quick test_value_basics;
@@ -298,4 +398,8 @@ let tests =
       test_symbolic_ground_agrees;
     Alcotest.test_case "symbolic variable deferral" `Quick
       test_symbolic_variables_defer;
+    Helpers.qtest ~count:500
+      "Int ceiling = rescan over insert/delete/copy/abort" wm_ops_gen
+      (fun ops -> String.concat "; " (List.map wm_op_print ops))
+      prop_int_ceiling;
   ]

@@ -415,6 +415,117 @@ let test_translation_independent_of_seed () =
         (List.length (List.sort_uniq compare delta_rs)))
     [ [ (false, false) ]; [ (true, true) ]; [ (false, true); (true, false) ] ]
 
+(* --- gen_A probed on part of a two-field $A, and scanned ---
+
+   G(g, tag) publishes one grp per row with $A = (g, tag); its mems and
+   notes children inherit that $A. A mem row M(g, m) belongs to every
+   grp with its g, so the side-effect scan of an inserted M probes gen_A
+   on the first of its two fields only. A note row T(t) belongs to every
+   grp, so the scan of an inserted T enumerates gen_A whole. *)
+
+let pair_schema =
+  Schema.db
+    [
+      Schema.relation "G"
+        [ Schema.attr "g" Value.TInt; Schema.attr "tag" Value.TInt ]
+        ~key:[ "g"; "tag" ];
+      Schema.relation "M"
+        [ Schema.attr "g" Value.TInt; Schema.attr "m" Value.TInt ]
+        ~key:[ "g"; "m" ];
+      Schema.relation "T" [ Schema.attr "t" Value.TInt ] ~key:[ "t" ];
+    ]
+
+let pair_engine () =
+  let dtd =
+    Dtd.make ~root:"root"
+      [
+        ("root", Dtd.Star "grp");
+        ("grp", Dtd.Seq [ "tag"; "mems"; "notes" ]);
+        ("tag", Dtd.Pcdata);
+        ("mems", Dtd.Star "mem");
+        ("mem", Dtd.Pcdata);
+        ("notes", Dtd.Star "note");
+        ("note", Dtd.Pcdata);
+      ]
+  in
+  let both = [| Atg.From_parent 0; Atg.From_parent 1 |] in
+  let atg =
+    Atg.make ~name:"pairs" ~schema:pair_schema ~dtd
+      [
+        ( "root",
+          Atg.star
+            (Spj.make ~name:"Qgrp" ~from:[ ("g", "G") ] ~where:[]
+               ~select:[ ("g", Spj.col "g" "g"); ("tag", Spj.col "g" "tag") ])
+        );
+        ( "grp",
+          Atg.R_seq
+            [ ("tag", [| Atg.From_parent 1 |]); ("mems", both); ("notes", both) ]
+        );
+        ("tag", Atg.R_pcdata 0);
+        ( "mems",
+          Atg.star
+            (Spj.make ~name:"Qmem" ~from:[ ("m", "M") ]
+               ~where:[ Spj.eq (Spj.col "m" "g") (Spj.Param 0) ]
+               ~select:[ ("m", Spj.col "m" "m") ]) );
+        ("mem", Atg.R_pcdata 0);
+        ( "notes",
+          Atg.star
+            (Spj.make ~name:"Qnote" ~from:[ ("n", "T") ] ~where:[]
+               ~select:[ ("t", Spj.col "n" "t") ]) );
+        ("note", Atg.R_pcdata 0);
+      ]
+  in
+  let db = Database.create pair_schema in
+  List.iter
+    (fun (g, tag) -> Database.insert db "G" [| i g; i tag |])
+    [ (1, 10); (1, 20); (2, 30) ];
+  Database.insert db "M" [| i 1; i 100 |];
+  Database.insert db "T" [| i 500 |];
+  Engine.create atg db
+
+let test_two_field_gen_probe () =
+  let e = pair_engine () in
+  let insert etype k path =
+    Engine.apply ~policy:`Proceed e
+      (Xupdate.Insert { etype; attr = [| i k |]; path = Parser.parse path })
+  in
+  let consistent what =
+    match Engine.check_consistency e with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  let rejected_for what edge = function
+    | Error (Engine.Untranslatable m) ->
+        check (what ^ ": certain side effect")
+          true
+          (m = "insertion has a certain side effect on " ^ edge);
+        consistent what
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error r -> Alcotest.failf "%s: wrong rejection: %a" what Engine.pp_rejection r
+  in
+  let accepted what delta_r = function
+    | Ok r ->
+        check (what ^ ": ΔR") true (r.Engine.delta_r = delta_r);
+        consistent what
+    | Error r -> Alcotest.failf "%s rejected: %a" what Engine.pp_rejection r
+  in
+  (* g = 2 has one grp: the probe on g finds only the target *)
+  accepted "mem under g = 2"
+    [ Group_update.Insert ("M", [| i 2; i 200 |]) ]
+    (insert "mem" 200 "grp[tag=30]/mems");
+  (* g = 1 has two grps: M(1, 300) would appear under tag 20 as well *)
+  rejected_for "mem under tag 10 alone" "edge_mems_mem"
+    (insert "mem" 300 "grp[tag=10]/mems");
+  accepted "mem under both g = 1 grps"
+    [ Group_update.Insert ("M", [| i 1; i 300 |]) ]
+    (insert "mem" 300 "grp[tag=10 or tag=20]/mems");
+  (* a note belongs to every grp: only an insertion under all of them *)
+  rejected_for "note under one grp" "edge_notes_note"
+    (insert "note" 600 "grp[tag=30]/notes");
+  accepted "note under every grp"
+    [ Group_update.Insert ("T", [| i 600 |]) ]
+    (insert "note" 600 "grp/notes")
+
 (* --- insertion conflicting with an existing key --- *)
 
 let test_insert_key_conflict_rejected () =
@@ -524,6 +635,8 @@ let tests =
       test_gadget_no_witness_free;
     Alcotest.test_case "canonical model: ΔR independent of seed" `Quick
       test_translation_independent_of_seed;
+    Alcotest.test_case "two-field $A: gen_A probed on one field, scanned"
+      `Quick test_two_field_gen_probe;
     Alcotest.test_case "insert key conflict rejected" `Quick
       test_insert_key_conflict_rejected;
     Alcotest.test_case "multi-target insert pools templates" `Quick
